@@ -217,8 +217,8 @@ BENCHMARK(BM_ConvBackwardSimd)->Arg(0)->Arg(1)->UseRealTime();
 /// The acceptance benchmark for the compile-to-sparse engine: n³ GEMM at one
 /// thread with the A operand unstructured-pruned to a target density
 /// (per-mille in arg 1), executed dense (arg 2 = 0) or through a compiled
-/// CSR (1) / 4×8 block (2) layout. All three variants are bit-identical in
-/// output (tests/test_sparse.cpp); the dense rows at each density are the
+/// CSR (1) layout. Both variants are bit-identical in output
+/// (tests/test_sparse.cpp); the dense rows at each density are the
 /// baseline of the committed speedup-vs-density curves. Acceptance: ≥3×
 /// over dense at ≤10% density.
 void BM_SparseGemm(benchmark::State& state) {
@@ -241,8 +241,7 @@ void BM_SparseGemm(benchmark::State& state) {
       benchmark::DoNotOptimize(c.data().data());
     }
   } else {
-    const auto w =
-        sparse::compile(a, layout == 1 ? sparse::Mode::kCsr : sparse::Mode::kBlock);
+    const auto w = sparse::compile(a, sparse::Mode::kCsr);
     for (auto _ : state) {
       sparse::matmul_into(w, b, c);
       benchmark::DoNotOptimize(c.data().data());
@@ -253,12 +252,12 @@ void BM_SparseGemm(benchmark::State& state) {
   // problem size, so speedup reads directly off the FLOPS ratio.
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
   report_flops(state, 2.0 * static_cast<double>(n * n * n));
-  const char* kLayoutNames[] = {"dense", "csr", "block"};
+  const char* kLayoutNames[] = {"dense", "csr"};
   state.SetLabel(std::to_string(n) + "^3 @ 1 thread, density " + std::to_string(density) +
                  ", " + kLayoutNames[layout]);
 }
 BENCHMARK(BM_SparseGemm)
-    ->ArgsProduct({{128, 256, 512}, {1000, 500, 200, 100, 50}, {0, 1, 2}})
+    ->ArgsProduct({{128, 256, 512}, {1000, 500, 200, 100, 50}, {0, 1}})
     ->UseRealTime();
 
 /// The acceptance benchmark for the observability layer: counter increments

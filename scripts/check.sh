@@ -6,8 +6,8 @@
 # fallback, and with RP_SPARSE=off forcing the dense execution path — then a
 # fast smoke pass with RP_TRACE active (the trace file must come out as valid
 # JSON), then a fault-injection pass (RP_FAULTS periodic transient write/read
-# faults over the storage-heavy suite slice including the sparse-artifact
-# tests, plus the SIGKILL crash-matrix tests and the multi-worker
+# faults over the storage-heavy suite slice, plus the SIGKILL crash-matrix
+# tests and the multi-worker
 # distributed-scheduler matrix), then a serving smoke gate
 # (the rp::serve suite serially: routing, lifecycle, bit-identity, and the
 # corrupt-variant quarantine-and-drop path), then a bench-provenance gate
@@ -59,11 +59,11 @@ python3 -c "import json,sys; json.load(open(sys.argv[1])); print('trace OK:', sy
 rm -f "$RP_TRACE_FILE"
 
 echo "== [4/7] Fault injection: transient faults absorbed, crashes recovered =="
-# Storage-heavy slice (including the sparse-artifact round-trip tests) under a
-# periodic transient-fault schedule: every third write and every fifth read
-# raises an injected fault that durable_write / read_file must absorb by
-# retrying. Serial, so the counter-indexed schedule stays deterministic per
-# process.
+# Storage-heavy slice under a periodic transient-fault schedule: every third
+# write and every fifth read raises an injected fault that durable_write /
+# read_file must absorb by retrying. Serial, so the counter-indexed schedule
+# stays deterministic per process. The `SparseTest` alternative matches no
+# test: compiled sparse forms are never stored.
 RP_FAULTS='write:every=3,read:every=5' ctest --test-dir build --output-on-failure \
   -R 'FaultTest|CacheTest|Serialize|RunnerTest|SparseTest' -j 1
 # Crash matrix runs without an ambient schedule: it arms RP_FAULTS itself in

@@ -41,7 +41,7 @@ enum class Counter : int {
   kPoolChunks,          ///< parallel_for chunks executed (all lanes)
   kTrainSamples,        ///< samples seen by nn::train (per epoch pass)
   kEvalSamples,         ///< samples scored by nn::evaluate
-  kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (csr/block layouts)
+  kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (CSR layout)
   kSparseNnz,           ///< nonzeros in weights compiled to a sparse layout
   kSparseBytesSaved,    ///< dense bytes minus compiled bytes, summed over compiles
   kMemArenaBytes,       ///< bytes served by arena bump allocations

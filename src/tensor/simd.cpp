@@ -44,34 +44,9 @@ void s_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* val
     const int32_t lo = row_ptr[i], hi = row_ptr[i + 1];
     for (int32_t t = lo; t < hi; ++t) {
       const float av = values[t];
-      if (av == 0.0f) continue;  // stored zeros (loaded artifacts) stay no-ops
+      if (av == 0.0f) continue;  // a stored 0.0f stays a no-op, like the dense zero skip
       const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
       for (int64_t j = 0; j < n; ++j) ci[j] = std::fma(av, bp[j], ci[j]);
-    }
-  }
-}
-
-void s_block_gemm(const int32_t* blk_row_ptr, const int32_t* blk_col, const float* blk_values,
-                  const float* b, int64_t ldb, float* c, int64_t ldc, int64_t br0, int64_t br1,
-                  int64_t rows, int64_t cols, int64_t n) {
-  for (int64_t br = br0; br < br1; ++br) {
-    const int64_t r0 = br * 4;
-    const int64_t rlim = std::min<int64_t>(4, rows - r0);
-    // Per output row the chain ascends in k: blocks sit at ascending block
-    // columns and kk ascends inside each 4×8 tile.
-    for (int64_t r = 0; r < rlim; ++r) {
-      float* cr = c + (r0 + r) * ldc;
-      for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-        const float* blk = blk_values + static_cast<int64_t>(t) * 32 + r * 8;
-        const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-        const int64_t klim = std::min<int64_t>(8, cols - k0);
-        for (int64_t kk = 0; kk < klim; ++kk) {
-          const float av = blk[kk];
-          if (av == 0.0f) continue;  // intra-block zeros are not real weights
-          const float* bp = b + (k0 + kk) * ldb;
-          for (int64_t j = 0; j < n; ++j) cr[j] = std::fma(av, bp[j], cr[j]);
-        }
-      }
     }
   }
 }
@@ -138,7 +113,7 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kScalarKernels{
-    s_gemm_panel, s_csr_gemm, s_block_gemm,
+    s_gemm_panel, s_csr_gemm,
     s_relu,       s_relu_grad,  s_add,        s_mul,
     s_add_scalar, s_scale, s_div_scalar, s_bias_add,   s_clamp,
     s_reduce_max, s_reduce_abs_max,      s_sgd_step,

@@ -34,27 +34,18 @@ struct Kernels {
   void (*gemm_panel)(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
                      int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc, float alpha);
 
-  // Sparse(A)×dense(B) row kernels for the compile-to-sparse engine
-  // (tensor/sparse.hpp). Both accumulate into C rows [i0, i1) of a zeroed
+  // Sparse(A)×dense(B) CSR row kernel for the compile-to-sparse engine
+  // (tensor/sparse.hpp). Accumulates into C rows [i0, i1) of a zeroed
   // C[rows, n] and must execute, per output element, the exact fma chain the
   // dense gemm_panel would: stored entries walked in ascending k order, every
   // multiply-add single-rounded, and entries equal to 0.0f skipped (so a
-  // stored zero — only possible in a loaded artifact — is still a bit-level
-  // no-op, matching the dense zero skip).
+  // stored zero is still a bit-level no-op, matching the dense zero skip).
   //
-  // CSR: row i holds values[row_ptr[i]:row_ptr[i+1]] at ascending columns
+  // Row i holds values[row_ptr[i]:row_ptr[i+1]] at ascending columns
   // col_idx[...]; C[i, 0:n] += sum_t values[t] * B[col_idx[t], 0:n].
   void (*csr_gemm)(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
                    const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
                    int64_t n);
-  // 4×8 block-sparse: block-row br owns C rows [4br, 4br+4) (clipped to
-  // `rows`); its blocks blk_col[blk_row_ptr[br]:blk_row_ptr[br+1]] sit at
-  // ascending block columns, each storing a row-major 4×8 value tile whose
-  // k range [8*blk_col, 8*blk_col+8) is clipped to `cols` (pad entries are
-  // zero and never stored against an out-of-range B row).
-  void (*block_gemm)(const int32_t* blk_row_ptr, const int32_t* blk_col,
-                     const float* blk_values, const float* b, int64_t ldb, float* c, int64_t ldc,
-                     int64_t br0, int64_t br1, int64_t rows, int64_t cols, int64_t n);
 
   void (*relu)(float* x, int64_t n);                                // x = max(x, 0)
   void (*relu_grad)(const float* x, float* d, int64_t n);           // d = x<=0 ? 0 : d

@@ -111,7 +111,7 @@ void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
 
 // -- sparse×dense kernels ---------------------------------------------------
 //
-// Same contract as the scalar s_csr_gemm / s_block_gemm: per output element
+// Same contract as the scalar s_csr_gemm: per output element
 // the stored-entry walk ascends in k and every multiply-add is a fused
 // vfmadd, so the chain is bit-identical to the scalar kernels and (via the
 // zero skip) to the dense reference. The column tiles run *outside* the row
@@ -195,89 +195,6 @@ void a_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* val
         if (av == 0.0f) continue;
         const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
         for (int64_t jj = j; jj < n; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
-
-// 16-column tiles holding all four block rows in 8 accumulators; each loaded
-// B row is reused by up to four output rows, the bandwidth advantage blocks
-// have over CSR.
-void a_block_gemm(const int32_t* blk_row_ptr, const int32_t* blk_col, const float* blk_values,
-                  const float* b, int64_t ldb, float* c, int64_t ldc, int64_t br0, int64_t br1,
-                  int64_t rows, int64_t cols, int64_t n) {
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    for (int64_t br = br0; br < br1; ++br) {
-      const int64_t r0 = br * 4;
-      const int64_t rlim = std::min<int64_t>(4, rows - r0);
-      __m256 acc[4][2];
-      for (int64_t r = 0; r < rlim; ++r) {
-        acc[r][0] = _mm256_loadu_ps(c + (r0 + r) * ldc + j);
-        acc[r][1] = _mm256_loadu_ps(c + (r0 + r) * ldc + j + 8);
-      }
-      for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-        const float* blk = blk_values + static_cast<int64_t>(t) * 32;
-        const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-        const int64_t klim = std::min<int64_t>(8, cols - k0);
-        for (int64_t kk = 0; kk < klim; ++kk) {
-          const float* bp = b + (k0 + kk) * ldb + j;
-          const __m256 b0 = _mm256_loadu_ps(bp + 0);
-          const __m256 b1 = _mm256_loadu_ps(bp + 8);
-          for (int64_t r = 0; r < rlim; ++r) {
-            const float av = blk[r * 8 + kk];
-            if (av == 0.0f) continue;
-            const __m256 va = _mm256_set1_ps(av);
-            acc[r][0] = _mm256_fmadd_ps(va, b0, acc[r][0]);
-            acc[r][1] = _mm256_fmadd_ps(va, b1, acc[r][1]);
-          }
-        }
-      }
-      for (int64_t r = 0; r < rlim; ++r) {
-        _mm256_storeu_ps(c + (r0 + r) * ldc + j, acc[r][0]);
-        _mm256_storeu_ps(c + (r0 + r) * ldc + j + 8, acc[r][1]);
-      }
-    }
-  }
-  for (; j + 8 <= n; j += 8) {
-    for (int64_t br = br0; br < br1; ++br) {
-      const int64_t r0 = br * 4;
-      const int64_t rlim = std::min<int64_t>(4, rows - r0);
-      __m256 acc[4];
-      for (int64_t r = 0; r < rlim; ++r) acc[r] = _mm256_loadu_ps(c + (r0 + r) * ldc + j);
-      for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-        const float* blk = blk_values + static_cast<int64_t>(t) * 32;
-        const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-        const int64_t klim = std::min<int64_t>(8, cols - k0);
-        for (int64_t kk = 0; kk < klim; ++kk) {
-          const __m256 b0 = _mm256_loadu_ps(b + (k0 + kk) * ldb + j);
-          for (int64_t r = 0; r < rlim; ++r) {
-            const float av = blk[r * 8 + kk];
-            if (av == 0.0f) continue;
-            acc[r] = _mm256_fmadd_ps(_mm256_set1_ps(av), b0, acc[r]);
-          }
-        }
-      }
-      for (int64_t r = 0; r < rlim; ++r) _mm256_storeu_ps(c + (r0 + r) * ldc + j, acc[r]);
-    }
-  }
-  if (j < n) {
-    for (int64_t br = br0; br < br1; ++br) {
-      const int64_t r0 = br * 4;
-      const int64_t rlim = std::min<int64_t>(4, rows - r0);
-      for (int64_t r = 0; r < rlim; ++r) {
-        float* cr = c + (r0 + r) * ldc;
-        for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-          const float* blk = blk_values + static_cast<int64_t>(t) * 32 + r * 8;
-          const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-          const int64_t klim = std::min<int64_t>(8, cols - k0);
-          for (int64_t kk = 0; kk < klim; ++kk) {
-            const float av = blk[kk];
-            if (av == 0.0f) continue;
-            const float* bp = b + (k0 + kk) * ldb;
-            for (int64_t jj = j; jj < n; ++jj) cr[jj] = std::fma(av, bp[jj], cr[jj]);
-          }
-        }
       }
     }
   }
@@ -437,7 +354,7 @@ void a_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kAvx2Kernels{
-    a_gemm_panel, a_csr_gemm, a_block_gemm,
+    a_gemm_panel, a_csr_gemm,
     a_relu,       a_relu_grad,  a_add,      a_mul,
     a_add_scalar, a_scale, a_div_scalar, a_bias_add, a_clamp,
     a_reduce_max, a_reduce_abs_max,      a_sgd_step,

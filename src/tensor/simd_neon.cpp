@@ -73,10 +73,10 @@ void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
 
 // -- sparse×dense kernels ---------------------------------------------------
 //
-// NEON analog of the AVX2 sparse kernels: column tiles outside the row loop
+// NEON analog of the AVX2 sparse kernel: column tiles outside the row loop
 // (a B strip stays cache-hot across all sparse rows), stored-entry walk
 // ascending in k per output element, fused vfma per multiply-add, zero
-// entries skipped — bit-identical to the scalar s_csr_gemm / s_block_gemm.
+// entries skipped — bit-identical to the scalar s_csr_gemm.
 
 void n_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
                 const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
@@ -126,64 +126,6 @@ void n_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* val
         if (av == 0.0f) continue;
         const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
         for (int64_t jj = j; jj < n; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
-
-void n_block_gemm(const int32_t* blk_row_ptr, const int32_t* blk_col, const float* blk_values,
-                  const float* b, int64_t ldb, float* c, int64_t ldc, int64_t br0, int64_t br1,
-                  int64_t rows, int64_t cols, int64_t n) {
-  int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    for (int64_t br = br0; br < br1; ++br) {
-      const int64_t r0 = br * 4;
-      const int64_t rlim = std::min<int64_t>(4, rows - r0);
-      float32x4_t acc[4][2];
-      for (int64_t r = 0; r < rlim; ++r) {
-        acc[r][0] = vld1q_f32(c + (r0 + r) * ldc + j);
-        acc[r][1] = vld1q_f32(c + (r0 + r) * ldc + j + 4);
-      }
-      for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-        const float* blk = blk_values + static_cast<int64_t>(t) * 32;
-        const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-        const int64_t klim = std::min<int64_t>(8, cols - k0);
-        for (int64_t kk = 0; kk < klim; ++kk) {
-          const float* bp = b + (k0 + kk) * ldb + j;
-          const float32x4_t b0 = vld1q_f32(bp + 0);
-          const float32x4_t b1 = vld1q_f32(bp + 4);
-          for (int64_t r = 0; r < rlim; ++r) {
-            const float av = blk[r * 8 + kk];
-            if (av == 0.0f) continue;
-            const float32x4_t va = vdupq_n_f32(av);
-            acc[r][0] = vfmaq_f32(acc[r][0], va, b0);
-            acc[r][1] = vfmaq_f32(acc[r][1], va, b1);
-          }
-        }
-      }
-      for (int64_t r = 0; r < rlim; ++r) {
-        vst1q_f32(c + (r0 + r) * ldc + j, acc[r][0]);
-        vst1q_f32(c + (r0 + r) * ldc + j + 4, acc[r][1]);
-      }
-    }
-  }
-  if (j < n) {
-    for (int64_t br = br0; br < br1; ++br) {
-      const int64_t r0 = br * 4;
-      const int64_t rlim = std::min<int64_t>(4, rows - r0);
-      for (int64_t r = 0; r < rlim; ++r) {
-        float* cr = c + (r0 + r) * ldc;
-        for (int32_t t = blk_row_ptr[br]; t < blk_row_ptr[br + 1]; ++t) {
-          const float* blk = blk_values + static_cast<int64_t>(t) * 32 + r * 8;
-          const int64_t k0 = static_cast<int64_t>(blk_col[t]) * 8;
-          const int64_t klim = std::min<int64_t>(8, cols - k0);
-          for (int64_t kk = 0; kk < klim; ++kk) {
-            const float av = blk[kk];
-            if (av == 0.0f) continue;
-            const float* bp = b + (k0 + kk) * ldb;
-            for (int64_t jj = j; jj < n; ++jj) cr[jj] = std::fma(av, bp[jj], cr[jj]);
-          }
-        }
       }
     }
   }
@@ -320,7 +262,7 @@ void n_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kNeonKernels{
-    n_gemm_panel, n_csr_gemm, n_block_gemm,
+    n_gemm_panel, n_csr_gemm,
     n_relu,       n_relu_grad,  n_add,      n_mul,
     n_add_scalar, n_scale, n_div_scalar, n_bias_add, n_clamp,
     n_reduce_max, n_reduce_abs_max,      n_sgd_step,
