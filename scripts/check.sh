@@ -62,10 +62,9 @@ echo "== [4/7] Fault injection: transient faults absorbed, crashes recovered =="
 # Storage-heavy slice under a periodic transient-fault schedule: every third
 # write and every fifth read raises an injected fault that durable_write /
 # read_file must absorb by retrying. Serial, so the counter-indexed schedule
-# stays deterministic per process. The `SparseTest` alternative matches no
-# test: compiled sparse forms are never stored.
+# stays deterministic per process.
 RP_FAULTS='write:every=3,read:every=5' ctest --test-dir build --output-on-failure \
-  -R 'FaultTest|CacheTest|Serialize|RunnerTest|SparseTest' -j 1
+  -R 'FaultTest|CacheTest|Serialize|RunnerTest' -j 1
 # Crash matrix runs without an ambient schedule: it arms RP_FAULTS itself in
 # the SIGKILLed child processes it spawns.
 ctest --test-dir build --output-on-failure -R 'FaultMatrix' -j 1

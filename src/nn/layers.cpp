@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <type_traits>
 
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -23,6 +24,38 @@ void check_4d(const Tensor& x, const char* who) {
 Tensor kaiming_init(Shape shape, int64_t fan_in, Rng& rng) {
   const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));
   return Tensor::randn(std::move(shape), rng, stddev);
+}
+
+/// Grain of the per-sample conv loops: about four chunks per lane, so each
+/// chunk's scratch (zeroed on acquisition) is amortized over several samples
+/// while idle lanes can still steal work. Per-sample partials make results
+/// independent of the chunking.
+int64_t sample_grain(int64_t n) {
+  return std::max<int64_t>(1, n / (4 * static_cast<int64_t>(parallel::num_threads())));
+}
+
+/// Calls f(std::integral_constant<int, G>{}, c0) over consecutive channel
+/// groups [c0, c0 + G): groups of four, then one tail group of 1–3. BatchNorm
+/// runs each group's per-channel double sums as G independent chains, so the
+/// adds overlap in the pipeline while every channel keeps its own serial
+/// (sample, pixel) summation order.
+template <typename F>
+void for_channel_groups(int64_t channels, F&& f) {
+  int64_t c0 = 0;
+  for (; c0 + 4 <= channels; c0 += 4) f(std::integral_constant<int, 4>{}, c0);
+  switch (channels - c0) {
+    case 3:
+      f(std::integral_constant<int, 3>{}, c0);
+      break;
+    case 2:
+      f(std::integral_constant<int, 2>{}, c0);
+      break;
+    case 1:
+      f(std::integral_constant<int, 1>{}, c0);
+      break;
+    default:
+      break;
+  }
 }
 
 }  // namespace
@@ -65,18 +98,17 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   float* yd = y.data().data();
 
   // Samples are independent (each writes its own output plane), so the
-  // im2col+GEMM loop is parallel over samples. Every lane owns one set of
-  // scratch tensors (pool-backed off the arena thread, arena-backed on it) —
-  // nested parallel loops run inline, so a lane never shares these with
-  // another forward in flight.
-  // rp-lint: allow(R7) per-sample loop: each iteration is an im2col + GEMM
-  parallel::parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
-    Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+  // patch-build + GEMM loop is parallel over samples. Every lane owns one set
+  // of scratch tensors (pool-backed off the arena thread, arena-backed on
+  // it) — nested parallel loops run inline, so a lane never shares these
+  // with another forward in flight. The padded plane is zeroed once per
+  // chunk; each sample only rewrites its interior.
+  parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
+    Tensor padded = Tensor::scratch(Shape{geom_.pad > 0 ? geom_.padded_size() : int64_t{0}});
     Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
     Tensor y_n = Tensor::scratch(Shape{out_c_, oplane});
     for (int64_t i = i0; i < i1; ++i) {
-      std::memcpy(x_n.data().data(), xd + i * isz, static_cast<size_t>(isz) * sizeof(float));
-      im2col(x_n, geom_, cols);
+      patches_from_padded(padded_sample(xd + i * isz, padded), geom_, cols.data().data());
       if (sparse_) {
         sparse::matmul_into(sparse_w_, cols, y_n);
       } else {
@@ -129,46 +161,49 @@ Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
   const int64_t oh = geom_.out_h(), ow = geom_.out_w();
   const int64_t oplane = oh * ow;
-  const int64_t wsize = out_c_ * geom_.patch();
+  const int64_t patch = geom_.patch();
+  const int64_t wsize = out_c_ * patch;
   const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
   const float* xd = cached_input_.data().data();
   const float* dyd = dy.data().data();
   Tensor dx = Tensor::scratch(cached_input_.shape());
+  float* dxd = dx.data().data();
+
+  // Wᵀ is the A operand of every sample's dcols GEMM: build it once per call
+  // and share it read-only across lanes.
+  Tensor wt = Tensor::scratch(Shape{patch, out_c_});
+  transpose(weight_.value.data().data(), out_c_, patch, wt.data().data());
 
   // Parallel over samples (same recipe as evaluate()): each sample's dW and
   // db contribution is computed independently — a beta=0 GEMM into per-lane
   // scratch — and stored at its sample index; the fold into the parameter
   // gradients below runs in fixed sample order. Partial values depend only
   // on the sample, never on chunking, so gradients are bit-identical for any
-  // RP_THREADS. dx slices are disjoint per sample and written in place.
+  // RP_THREADS. dx slices are disjoint per sample and folded into in place.
   Tensor dw_partial = Tensor::scratch(Shape{n, wsize});
   Tensor db_partial = Tensor::scratch(Shape{use_bias_ ? n * out_c_ : int64_t{0}});
   float* dwp = dw_partial.data().data();
   float* dbp = db_partial.data().data();
 
-  // rp-lint: allow(R7) per-sample loop: each iteration is an im2col + two GEMMs
-  parallel::parallel_for(0, n, 1, [&](int64_t i0, int64_t i1) {
-    Tensor x_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+  parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
+    Tensor padded = Tensor::scratch(Shape{geom_.pad > 0 ? geom_.padded_size() : int64_t{0}});
     Tensor dy_n = Tensor::scratch(Shape{out_c_, oplane});
-    Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor dcols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor dw_n = Tensor::scratch(Shape{out_c_, geom_.patch()});
-    Tensor dx_n = Tensor::scratch(Shape{geom_.in_c, geom_.in_h, geom_.in_w});
+    Tensor cols_t = Tensor::scratch(Shape{oplane, patch});
+    Tensor dcols = Tensor::scratch(Shape{patch, oplane});
+    Tensor dw_n = Tensor::scratch(Shape{out_c_, patch});
     for (int64_t i = i0; i < i1; ++i) {
       std::memcpy(dy_n.data().data(), dyd + i * out_c_ * oplane,
                   static_cast<size_t>(out_c_ * oplane) * sizeof(float));
-      std::memcpy(x_n.data().data(), xd + i * isz, static_cast<size_t>(isz) * sizeof(float));
-      im2col(x_n, geom_, cols);
+      patches_t_from_padded(padded_sample(xd + i * isz, padded), geom_, cols_t.data().data());
       // dW_i = dy_n @ colsᵀ
       // rp-lint: allow(R9) training backward: gradients need the dense weight
-      gemm(dy_n, cols, dw_n, /*trans_a=*/false, /*trans_b=*/true, 1.0f, 0.0f);
+      gemm(dy_n, cols_t, dw_n);
       std::memcpy(dwp + i * wsize, dw_n.data().data(),
                   static_cast<size_t>(wsize) * sizeof(float));
-      // dcols = Wᵀ @ dy_n
+      // dcols = Wᵀ @ dy_n, folded straight into this sample's (zeroed) dx slice
       // rp-lint: allow(R9) training backward: gradients need the dense weight
-      gemm(weight_.value, dy_n, dcols, /*trans_a=*/true);
-      col2im(dcols, geom_, dx_n);
-      dx.set_slice0(i, dx_n);
+      gemm(wt, dy_n, dcols);
+      fold_patches_add(dcols.data().data(), geom_, dxd + i * isz);
 
       if (use_bias_) {
         const float* d = dy_n.data().data();
@@ -192,6 +227,12 @@ Tensor Conv2d::backward(const Tensor& dy) {
     }
   }
   return dx;
+}
+
+const float* Conv2d::padded_sample(const float* image, Tensor& padded) const {
+  if (geom_.pad == 0) return image;  // the image is its own padded plane
+  pad_image(image, geom_, padded.data().data());
+  return padded.data().data();
 }
 
 void Conv2d::collect_params(std::vector<Parameter*>& out) {
@@ -348,53 +389,67 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const float count = static_cast<float>(n * plane);
   flops_ = 2 * c_ * plane;
 
-  // Cross-kind assignment from a scratch temp never steals the pointer: it
-  // element-copies into the member's heap buffer, so after the first batch
-  // this reuses capacity and performs no heap allocation.
-  cached_xhat_ = Tensor::scratch(x.shape());
+  // The normalize loop below overwrites every element, so the member buffer
+  // is only rebuilt when the batch shape changes. Cross-kind assignment from
+  // a scratch temp never steals the pointer: it element-copies into the
+  // member's heap buffer, reusing capacity.
+  if (cached_xhat_.shape() != x.shape()) cached_xhat_ = Tensor::scratch(x.shape());
   cached_inv_std_.assign(static_cast<size_t>(c_), 0.0f);
   Tensor y = Tensor::scratch(x.shape());
   const float* xd = x.data().data();
   float* xh = cached_xhat_.data().data();
   float* yd = y.data().data();
 
-  for (int64_t c = 0; c < c_; ++c) {
-    float m, v;
+  for_channel_groups(c_, [&](auto group, int64_t c0) {
+    constexpr int G = decltype(group)::value;
+    float m[G], v[G];
     if (train) {
-      double s = 0.0;
+      double s[G] = {};
       for (int64_t i = 0; i < n; ++i) {
-        const float* p = xd + (i * c_ + c) * plane;
-        for (int64_t j = 0; j < plane; ++j) s += p[j];
-      }
-      m = static_cast<float>(s / count);
-      double sv = 0.0;
-      for (int64_t i = 0; i < n; ++i) {
-        const float* p = xd + (i * c_ + c) * plane;
+        const float* p = xd + (i * c_ + c0) * plane;
         for (int64_t j = 0; j < plane; ++j) {
-          const double d = p[j] - m;
-          sv += d * d;
+          for (int t = 0; t < G; ++t) s[t] += p[t * plane + j];
         }
       }
-      v = static_cast<float>(sv / count);
-      running_mean_[c] = (1 - momentum_) * running_mean_[c] + momentum_ * m;
-      running_var_[c] = (1 - momentum_) * running_var_[c] + momentum_ * v;
+      for (int t = 0; t < G; ++t) m[t] = static_cast<float>(s[t] / count);
+      double sv[G] = {};
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * c_ + c0) * plane;
+        for (int64_t j = 0; j < plane; ++j) {
+          for (int t = 0; t < G; ++t) {
+            const double d = p[t * plane + j] - m[t];
+            sv[t] += d * d;
+          }
+        }
+      }
+      for (int t = 0; t < G; ++t) {
+        const int64_t c = c0 + t;
+        v[t] = static_cast<float>(sv[t] / count);
+        running_mean_[c] = (1 - momentum_) * running_mean_[c] + momentum_ * m[t];
+        running_var_[c] = (1 - momentum_) * running_var_[c] + momentum_ * v[t];
+      }
     } else {
-      m = running_mean_[c];
-      v = running_var_[c];
-    }
-    const float inv_std = 1.0f / std::sqrt(v + eps_);
-    cached_inv_std_[static_cast<size_t>(c)] = inv_std;
-    const float g = gamma_.value[c], b = beta_.value[c];
-    for (int64_t i = 0; i < n; ++i) {
-      const float* p = xd + (i * c_ + c) * plane;
-      float* q = xh + (i * c_ + c) * plane;
-      float* o = yd + (i * c_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        q[j] = (p[j] - m) * inv_std;
-        o[j] = g * q[j] + b;
+      for (int t = 0; t < G; ++t) {
+        m[t] = running_mean_[c0 + t];
+        v[t] = running_var_[c0 + t];
       }
     }
-  }
+    for (int t = 0; t < G; ++t) {
+      const int64_t c = c0 + t;
+      const float inv_std = 1.0f / std::sqrt(v[t] + eps_);
+      cached_inv_std_[static_cast<size_t>(c)] = inv_std;
+      const float g = gamma_.value[c], b = beta_.value[c];
+      for (int64_t i = 0; i < n; ++i) {
+        const float* p = xd + (i * c_ + c) * plane;
+        float* q = xh + (i * c_ + c) * plane;
+        float* o = yd + (i * c_ + c) * plane;
+        for (int64_t j = 0; j < plane; ++j) {
+          q[j] = (p[j] - m[t]) * inv_std;
+          o[j] = g * q[j] + b;
+        }
+      }
+    }
+  });
   return y;
 }
 
@@ -407,32 +462,38 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   const float* xh = cached_xhat_.data().data();
   float* dxd = dx.data().data();
 
-  for (int64_t c = 0; c < c_; ++c) {
-    double sum_dy = 0.0, sum_dy_xhat = 0.0;
+  for_channel_groups(c_, [&](auto group, int64_t c0) {
+    constexpr int G = decltype(group)::value;
+    double sum_dy[G] = {}, sum_dy_xhat[G] = {};
     for (int64_t i = 0; i < n; ++i) {
-      const float* d = dyd + (i * c_ + c) * plane;
-      const float* q = xh + (i * c_ + c) * plane;
+      const float* d = dyd + (i * c_ + c0) * plane;
+      const float* q = xh + (i * c_ + c0) * plane;
       for (int64_t j = 0; j < plane; ++j) {
-        sum_dy += d[j];
-        sum_dy_xhat += static_cast<double>(d[j]) * q[j];
+        for (int t = 0; t < G; ++t) {
+          sum_dy[t] += d[t * plane + j];
+          sum_dy_xhat[t] += static_cast<double>(d[t * plane + j]) * q[t * plane + j];
+        }
       }
     }
-    gamma_.grad[c] += static_cast<float>(sum_dy_xhat);
-    beta_.grad[c] += static_cast<float>(sum_dy);
+    for (int t = 0; t < G; ++t) {
+      const int64_t c = c0 + t;
+      gamma_.grad[c] += static_cast<float>(sum_dy_xhat[t]);
+      beta_.grad[c] += static_cast<float>(sum_dy[t]);
 
-    const float g = gamma_.value[c];
-    const float inv_std = cached_inv_std_[static_cast<size_t>(c)];
-    const float mean_dy = static_cast<float>(sum_dy) / count;
-    const float mean_dy_xhat = static_cast<float>(sum_dy_xhat) / count;
-    for (int64_t i = 0; i < n; ++i) {
-      const float* d = dyd + (i * c_ + c) * plane;
-      const float* q = xh + (i * c_ + c) * plane;
-      float* o = dxd + (i * c_ + c) * plane;
-      for (int64_t j = 0; j < plane; ++j) {
-        o[j] = g * inv_std * (d[j] - mean_dy - q[j] * mean_dy_xhat);
+      const float g = gamma_.value[c];
+      const float inv_std = cached_inv_std_[static_cast<size_t>(c)];
+      const float mean_dy = static_cast<float>(sum_dy[t]) / count;
+      const float mean_dy_xhat = static_cast<float>(sum_dy_xhat[t]) / count;
+      for (int64_t i = 0; i < n; ++i) {
+        const float* d = dyd + (i * c_ + c) * plane;
+        const float* q = xh + (i * c_ + c) * plane;
+        float* o = dxd + (i * c_ + c) * plane;
+        for (int64_t j = 0; j < plane; ++j) {
+          o[j] = g * inv_std * (d[j] - mean_dy - q[j] * mean_dy_xhat);
+        }
       }
     }
-  }
+  });
   return dx;
 }
 

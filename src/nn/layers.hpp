@@ -9,7 +9,7 @@
 
 namespace rp::nn {
 
-/// 2-D convolution over [N, C, H, W] batches via im2col + GEMM.
+/// 2-D convolution over [N, C, H, W] batches via patch matrix + GEMM.
 ///
 /// The weight is stored as a [out_c, in_c*k*k] matrix, which is both the
 /// GEMM operand and the row-per-filter layout structured pruners expect.
@@ -37,6 +37,10 @@ class Conv2d final : public Module {
   void add_out_coupled(Parameter* p) { out_coupled_.push_back(p); }
 
  private:
+  /// The sample's zero-padded plane: `image` itself when pad == 0, else
+  /// `padded` (zero-bordered lane scratch) with the image copied inside.
+  const float* padded_sample(const float* image, Tensor& padded) const;
+
   std::string name_;
   ConvGeom geom_;
   int64_t out_c_;

@@ -71,6 +71,38 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n
   }
 }
 
+// Output indices o in [0, n) whose input coordinate o * stride + off lands
+// inside [0, extent), as the half-open range [*lo, *hi).
+void valid_span(int64_t off, int64_t extent, int64_t stride, int64_t n, int64_t* lo,
+                int64_t* hi) {
+  *lo = off < 0 ? (-off + stride - 1) / stride : 0;
+  *hi = off >= extent ? 0 : std::min(n, (extent - 1 - off) / stride + 1);
+  *hi = std::max(*hi, *lo);
+}
+
+// patches_t_from_padded's body with the kernel size as a template argument
+// where it is known (K > 0), so the k×k receptive-field copy fully unrolls;
+// K == 0 reads the size from the geometry.
+template <int K>
+void patches_t_impl(const float* padded, const ConvGeom& g, float* cols_t) {
+  const int64_t k = K > 0 ? K : g.k;
+  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pw = g.padded_w();
+  const int64_t cstride = g.padded_h() * pw;
+  float* out = cols_t;
+  for (int64_t y = 0; y < oh; ++y) {
+    for (int64_t x = 0; x < ow; ++x) {
+      // One output position: its whole receptive field, (c, ki, kj) order.
+      const float* origin = padded + y * s * pw + x * s;
+      for (int64_t c = 0; c < g.in_c; ++c) {
+        const float* src = origin + c * cstride;
+        for (int64_t ki = 0; ki < k; ++ki) {
+          for (int64_t kj = 0; kj < k; ++kj) *out++ = src[ki * pw + kj];
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 
 // rp-lint: hot
@@ -110,14 +142,12 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
   const float* bd = b.data().data();
   if (trans_a) {
     tl_at_buf.resize(static_cast<size_t>(m * k));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-    for (int64_t p = 0; p < k; ++p)
-      for (int64_t i = 0; i < m; ++i) tl_at_buf[static_cast<size_t>(i * k + p)] = ad[p * m + i];
+    transpose(ad, k, m, tl_at_buf.data());
     ad = tl_at_buf.data();
   }
   if (trans_b) {
     tl_bt_buf.resize(static_cast<size_t>(k * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-    for (int64_t j = 0; j < n; ++j)
-      for (int64_t p = 0; p < k; ++p) tl_bt_buf[static_cast<size_t>(p * n + j)] = bd[j * k + p];
+    transpose(bd, n, k, tl_bt_buf.data());
     bd = tl_bt_buf.data();
   }
 
@@ -132,34 +162,45 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
   return c;
 }
 
-void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
-  if (image.ndim() != 3 || image.size(0) != g.in_c || image.size(1) != g.in_h ||
-      image.size(2) != g.in_w) {
-    throw std::invalid_argument("im2col: image shape " + image.shape().to_string() +
-                                " does not match geometry");
+void transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
+  constexpr int64_t kTile = 16;
+  for (int64_t i0 = 0; i0 < rows; i0 += kTile) {
+    const int64_t i1 = std::min(rows, i0 + kTile);
+    for (int64_t j0 = 0; j0 < cols; j0 += kTile) {
+      const int64_t j1 = std::min(cols, j0 + kTile);
+      for (int64_t j = j0; j < j1; ++j) {
+        for (int64_t i = i0; i < i1; ++i) dst[j * rows + i] = src[i * cols + j];
+      }
+    }
   }
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  if (cols.shape() != Shape{g.patch(), oh * ow}) {
-    cols = Tensor::scratch(Shape{g.patch(), oh * ow});
-  }
-  const float* src = image.data().data();
-  float* dst = cols.data().data();
-  int64_t row = 0;
+}
+
+void pad_image(const float* image, const ConvGeom& g, float* padded) {
+  const int64_t pw = g.padded_w();
   for (int64_t c = 0; c < g.in_c; ++c) {
-    const float* plane = src + c * g.in_h * g.in_w;
+    const float* src = image + c * g.in_h * g.in_w;
+    float* dst = padded + (c * g.padded_h() + g.pad) * pw + g.pad;
+    for (int64_t y = 0; y < g.in_h; ++y) {
+      std::memcpy(dst + y * pw, src + y * g.in_w, static_cast<size_t>(g.in_w) * sizeof(float));
+    }
+  }
+}
+
+void patches_from_padded(const float* padded, const ConvGeom& g, float* cols) {
+  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pw = g.padded_w();
+  float* out = cols;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    const float* plane = padded + c * g.padded_h() * pw;
     for (int64_t ki = 0; ki < g.k; ++ki) {
-      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        float* out_row = dst + row * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t sy = y * g.stride + ki - g.pad;
-          if (sy < 0 || sy >= g.in_h) {
-            std::memset(out_row + y * ow, 0, static_cast<size_t>(ow) * sizeof(float));
-            continue;
-          }
-          const float* src_row = plane + sy * g.in_w;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sx = x * g.stride + kj - g.pad;
-            out_row[y * ow + x] = (sx >= 0 && sx < g.in_w) ? src_row[sx] : 0.0f;
+      for (int64_t kj = 0; kj < g.k; ++kj) {
+        for (int64_t y = 0; y < oh; ++y, out += ow) {
+          // Rows are a few dozen floats: an inline loop beats a memcpy call.
+          const float* __restrict src = plane + (y * s + ki) * pw + kj;
+          float* __restrict dst = out;
+          if (s == 1) {
+            for (int64_t x = 0; x < ow; ++x) dst[x] = src[x];
+          } else {
+            for (int64_t x = 0; x < ow; ++x) dst[x] = src[x * s];
           }
         }
       }
@@ -167,9 +208,69 @@ void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
   }
 }
 
+void patches_t_from_padded(const float* padded, const ConvGeom& g, float* cols_t) {
+  switch (g.k) {
+    case 1:
+      patches_t_impl<1>(padded, g, cols_t);
+      break;
+    case 3:
+      patches_t_impl<3>(padded, g, cols_t);
+      break;
+    default:
+      patches_t_impl<0>(padded, g, cols_t);
+      break;
+  }
+}
+
+void fold_patches_add(const float* cols, const ConvGeom& g, float* image) {
+  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride;
+  const float* row = cols;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    float* plane = image + c * g.in_h * g.in_w;
+    for (int64_t ki = 0; ki < g.k; ++ki) {
+      int64_t y0 = 0, y1 = 0;
+      valid_span(ki - g.pad, g.in_h, s, oh, &y0, &y1);
+      for (int64_t kj = 0; kj < g.k; ++kj, row += oh * ow) {
+        int64_t x0 = 0, x1 = 0;
+        valid_span(kj - g.pad, g.in_w, s, ow, &x0, &x1);
+        const int64_t len = x1 - x0;
+        if (len == 0) continue;
+        for (int64_t y = y0; y < y1; ++y) {
+          // Plain single-rounded adds, like simd::add, inlined: the spans
+          // are too short to amortize an indirect call each.
+          float* __restrict dst = plane + (y * s + ki - g.pad) * g.in_w + (x0 * s + kj - g.pad);
+          const float* __restrict src = row + y * ow + x0;
+          if (s == 1) {
+            for (int64_t x = 0; x < len; ++x) dst[x] += src[x];
+          } else {
+            for (int64_t x = 0; x < len; ++x) dst[x * s] += src[x];
+          }
+        }
+      }
+    }
+  }
+}
+
+void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
+  if (image.ndim() != 3 || image.size(0) != g.in_c || image.size(1) != g.in_h ||
+      image.size(2) != g.in_w) {
+    throw std::invalid_argument("im2col: image shape " + image.shape().to_string() +
+                                " does not match geometry");
+  }
+  if (cols.shape() != Shape{g.patch(), g.out_h() * g.out_w()}) {
+    cols = Tensor::scratch(Shape{g.patch(), g.out_h() * g.out_w()});
+  }
+  if (g.pad == 0) {
+    patches_from_padded(image.data().data(), g, cols.data().data());
+    return;
+  }
+  Tensor padded = Tensor::scratch(Shape{g.padded_size()});
+  pad_image(image.data().data(), g, padded.data().data());
+  patches_from_padded(padded.data().data(), g, cols.data().data());
+}
+
 void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  if (cols.shape() != Shape{g.patch(), oh * ow}) {
+  if (cols.shape() != Shape{g.patch(), g.out_h() * g.out_w()}) {
     throw std::invalid_argument("col2im: cols shape " + cols.shape().to_string() +
                                 " does not match geometry");
   }
@@ -178,26 +279,7 @@ void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image) {
   } else {
     image.zero();
   }
-  const float* src = cols.data().data();
-  float* dst = image.data().data();
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    float* plane = dst + c * g.in_h * g.in_w;
-    for (int64_t ki = 0; ki < g.k; ++ki) {
-      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        const float* in_row = src + row * oh * ow;
-        for (int64_t y = 0; y < oh; ++y) {
-          const int64_t sy = y * g.stride + ki - g.pad;
-          if (sy < 0 || sy >= g.in_h) continue;
-          float* dst_row = plane + sy * g.in_w;
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sx = x * g.stride + kj - g.pad;
-            if (sx >= 0 && sx < g.in_w) dst_row[sx] += in_row[y * ow + x];
-          }
-        }
-      }
-    }
-  }
+  fold_patches_add(cols.data().data(), g, image.data().data());
 }
 
 }  // namespace rp

@@ -246,19 +246,10 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   // this matches the dense gemm(x, w, y, false, true) reference exactly.
   const float* xd = x.data().data();
   tl_xt_buf.resize(static_cast<size_t>(w.cols * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t k = 0; k < w.cols; ++k) {
-      tl_xt_buf[static_cast<size_t>(k * n + i)] = xd[i * w.cols + k];
-    }
-  }
+  transpose(xd, n, w.cols, tl_xt_buf.data());
   tl_yt_buf.assign(static_cast<size_t>(w.rows * n), 0.0f);
   matmul_core(w, tl_xt_buf.data(), tl_yt_buf.data(), n);
-  float* yd = y.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    for (int64_t r = 0; r < w.rows; ++r) {
-      yd[i * w.rows + r] = tl_yt_buf[static_cast<size_t>(r * n + i)];
-    }
-  }
+  transpose(tl_yt_buf.data(), w.rows, n, y.data().data());
 }
 
 }  // namespace rp::sparse

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "grad_check.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/parallel.hpp"
+#include "tensor/simd.hpp"
 
 namespace rp::nn {
 namespace {
@@ -124,6 +128,168 @@ TEST(Conv2d, FlopsTrackMask) {
   EXPECT_EQ(conv.flops(), 0);
 }
 
+// ----- Conv2d bit identity against the reference formulation ----------------------
+//
+// The layer builds its patch matrices from a zero-padded plane, the weight
+// gradient's operand directly in [oh·ow, patch] layout, Wᵀ once per call,
+// and folds dcols straight into dx. The reference below is the plain
+// formulation those replace: a bounds-tested im2col, gemm with trans_b /
+// trans_a, and col2im into a zeroed image. Every GEMM sees the same operands
+// in the same k order, so the two must agree bit for bit.
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+void ref_im2col(const float* image, const ConvGeom& g, Tensor& cols) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.k; ++ki) {
+      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t sy = y * g.stride + ki - g.pad, sx = x * g.stride + kj - g.pad;
+            const bool inside = sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w;
+            cols.at(row, y * ow + x) = inside ? image[(c * g.in_h + sy) * g.in_w + sx] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+}
+
+void ref_col2im(const Tensor& cols, const ConvGeom& g, float* image) {
+  const int64_t oh = g.out_h(), ow = g.out_w();
+  std::memset(image, 0, static_cast<size_t>(g.in_c * g.in_h * g.in_w) * sizeof(float));
+  int64_t row = 0;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t ki = 0; ki < g.k; ++ki) {
+      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t sy = y * g.stride + ki - g.pad, sx = x * g.stride + kj - g.pad;
+            if (sy < 0 || sy >= g.in_h || sx < 0 || sx >= g.in_w) continue;
+            image[(c * g.in_h + sy) * g.in_w + sx] += cols.at(row, y * ow + x);
+          }
+        }
+      }
+    }
+  }
+}
+
+struct ConvResult {
+  Tensor y, dx, dw, db;
+};
+
+/// Reference forward + backward, serial, per sample. `dw`/`db` start from
+/// the given existing gradients; per-sample partials fold in sample order.
+ConvResult ref_conv(const ConvGeom& g, const Tensor& w, const Tensor* bias, const Tensor& x,
+                    const Tensor& dy, const Tensor& dw0, const Tensor& db0) {
+  const int64_t n = x.size(0), out_c = w.size(0), oplane = g.out_h() * g.out_w();
+  const int64_t isz = g.in_c * g.in_h * g.in_w;
+  ConvResult r{Tensor(Shape{n, out_c, g.out_h(), g.out_w()}), Tensor(x.shape()), dw0, db0};
+  Tensor cols(Shape{g.patch(), oplane}), y_n(Shape{out_c, oplane});
+  Tensor dy_n(Shape{out_c, oplane}), dw_n(Shape{out_c, g.patch()}), dcols(Shape{g.patch(), oplane});
+  for (int64_t i = 0; i < n; ++i) {
+    ref_im2col(x.data().data() + i * isz, g, cols);
+    gemm(w, cols, y_n);
+    float* y = r.y.data().data() + i * out_c * oplane;
+    for (int64_t c = 0; c < out_c; ++c) {
+      for (int64_t p = 0; p < oplane; ++p) {
+        y[c * oplane + p] = bias ? y_n.at(c, p) + (*bias)[c] : y_n.at(c, p);
+      }
+    }
+    std::memcpy(dy_n.data().data(), dy.data().data() + i * out_c * oplane,
+                static_cast<size_t>(out_c * oplane) * sizeof(float));
+    gemm(dy_n, cols, dw_n, /*trans_a=*/false, /*trans_b=*/true);
+    for (int64_t j = 0; j < dw_n.numel(); ++j) r.dw[j] += dw_n[j];
+    gemm(w, dy_n, dcols, /*trans_a=*/true);
+    ref_col2im(dcols, g, r.dx.data().data() + i * isz);
+    if (bias) {
+      for (int64_t c = 0; c < out_c; ++c) {
+        float s = 0.0f;
+        for (int64_t p = 0; p < oplane; ++p) s += dy_n.at(c, p);
+        r.db[c] += s;
+      }
+    }
+  }
+  return r;
+}
+
+struct ConvCase {
+  int64_t in_c, out_c, k, stride, pad, h, w;
+  bool bias;
+};
+
+TEST(ConvBitIdentity, MatchesReferenceFormulation) {
+  const ConvCase cases[] = {
+      {3, 5, 3, 1, 1, 6, 6, true},    // k3/s1/p1
+      {7, 9, 3, 2, 1, 8, 8, false},   // k3/s2/p1
+      {6, 10, 1, 2, 0, 8, 8, true},   // k1/s2/p0: the plane is read in place
+      {5, 3, 3, 1, 1, 5, 7, false},   // odd 5×7 plane
+      {4, 6, 3, 2, 1, 5, 7, true},    // odd plane, strided
+      {2, 3, 5, 2, 2, 7, 5, false},   // k5: the generic kernel-size path
+  };
+  for (const ConvCase& cc : cases) {
+    for (const bool masked : {false, true}) {
+      SCOPED_TRACE("in_c " + std::to_string(cc.in_c) + " out_c " + std::to_string(cc.out_c) +
+                   " k" + std::to_string(cc.k) + " s" + std::to_string(cc.stride) + " " +
+                   std::to_string(cc.h) + "x" + std::to_string(cc.w) +
+                   (masked ? " masked" : " dense"));
+      Rng rng(100 + cc.in_c);
+      Conv2d conv("c", cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.h, cc.w, cc.bias, rng);
+      std::vector<Parameter*> params;
+      conv.collect_params(params);
+      if (cc.bias) params[1]->value = Tensor::randn(Shape{cc.out_c}, rng);
+      Parameter& w = conv.weight();
+      if (masked) {
+        for (int64_t j = 0; j < w.mask.numel(); ++j) {
+          if (j % 3 != 0 || j / w.value.size(1) == 1) w.mask[j] = 0.0f;  // row 1 pruned whole
+        }
+        w.enforce_mask();
+      }
+      const ConvGeom& g = conv.geom();
+      const Tensor x = Tensor::randn(Shape{5, cc.in_c, cc.h, cc.w}, rng);
+      const Tensor dy = Tensor::randn(Shape{5, cc.out_c, g.out_h(), g.out_w()}, rng);
+      const Tensor dw0 = Tensor::randn(w.value.shape(), rng);
+      const Tensor db0 = Tensor::randn(Shape{cc.out_c}, rng);
+      const ConvResult ref =
+          ref_conv(g, w.value, cc.bias ? &params[1]->value : nullptr, x, dy, dw0, db0);
+
+      for (const int threads : {1, 2, 4}) {
+        for (const bool scalar : {true, false}) {
+          SCOPED_TRACE(std::to_string(threads) + (scalar ? " threads, scalar" : " threads, simd"));
+          parallel::set_num_threads(threads);
+          if (scalar) {
+            simd::force(simd::Isa::kScalar);
+          } else {
+            simd::reset();
+          }
+          w.grad = dw0;
+          if (cc.bias) params[1]->grad = db0;
+          const Tensor y = conv.forward(x, true);
+          const Tensor dx = conv.backward(dy);
+          EXPECT_TRUE(same_bits(y, ref.y));
+          EXPECT_TRUE(same_bits(dx, ref.dx));
+          EXPECT_TRUE(same_bits(w.grad, ref.dw));
+          if (cc.bias) {
+            EXPECT_TRUE(same_bits(params[1]->grad, ref.db));
+          }
+          // The compiled-sparse eval forward reads the same patch matrix.
+          conv.set_sparse(true);
+          EXPECT_TRUE(same_bits(conv.forward(x, false), ref.y));
+          conv.set_sparse(false);
+        }
+      }
+      simd::reset();
+      parallel::set_num_threads(0);
+    }
+  }
+}
+
 // ----- Linear ---------------------------------------------------------------------
 
 TEST(Linear, KnownValue) {
@@ -226,6 +392,127 @@ TEST(BatchNorm2d, BuffersAreCollected) {
 TEST(BatchNorm2d, ChannelMismatchThrows) {
   BatchNorm2d bn("bn", 4);
   EXPECT_THROW(bn.forward(Tensor(Shape{1, 3, 2, 2}), true), std::invalid_argument);
+}
+
+// ----- BatchNorm2d bit identity against the serial per-channel reference ------------
+//
+// The layer runs the per-channel double sums of four channels as
+// interleaved independent chains. Each channel keeps its own summation
+// order, so the result must match the plain one-channel-at-a-time loops.
+
+struct BnRef {
+  std::vector<float> gamma, beta, rmean, rvar, inv_std;
+  Tensor xhat;
+  float momentum = 0.1f, eps = 1e-5f;
+
+  Tensor forward(const Tensor& x, bool train) {
+    const int64_t n = x.size(0), c_ = x.size(1), plane = x.size(2) * x.size(3);
+    const float count = static_cast<float>(n * plane);
+    xhat = Tensor(x.shape());
+    inv_std.assign(static_cast<size_t>(c_), 0.0f);
+    Tensor y(x.shape());
+    const float* xd = x.data().data();
+    for (int64_t c = 0; c < c_; ++c) {
+      const size_t cs = static_cast<size_t>(c);
+      float m, v;
+      if (train) {
+        double s = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t j = 0; j < plane; ++j) s += xd[(i * c_ + c) * plane + j];
+        }
+        m = static_cast<float>(s / count);
+        double sv = 0.0;
+        for (int64_t i = 0; i < n; ++i) {
+          for (int64_t j = 0; j < plane; ++j) {
+            const double d = xd[(i * c_ + c) * plane + j] - m;
+            sv += d * d;
+          }
+        }
+        v = static_cast<float>(sv / count);
+        rmean[cs] = (1 - momentum) * rmean[cs] + momentum * m;
+        rvar[cs] = (1 - momentum) * rvar[cs] + momentum * v;
+      } else {
+        m = rmean[cs];
+        v = rvar[cs];
+      }
+      inv_std[cs] = 1.0f / std::sqrt(v + eps);
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < plane; ++j) {
+          const int64_t e = (i * c_ + c) * plane + j;
+          xhat[e] = (xd[e] - m) * inv_std[cs];
+          y[e] = gamma[cs] * xhat[e] + beta[cs];
+        }
+      }
+    }
+    return y;
+  }
+
+  Tensor backward(const Tensor& dy, std::vector<float>& dgamma, std::vector<float>& dbeta) {
+    const int64_t n = dy.size(0), c_ = dy.size(1), plane = dy.size(2) * dy.size(3);
+    const float count = static_cast<float>(n * plane);
+    Tensor dx(dy.shape());
+    for (int64_t c = 0; c < c_; ++c) {
+      const size_t cs = static_cast<size_t>(c);
+      double sum_dy = 0.0, sum_dy_xhat = 0.0;
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < plane; ++j) {
+          const int64_t e = (i * c_ + c) * plane + j;
+          sum_dy += dy[e];
+          sum_dy_xhat += static_cast<double>(dy[e]) * xhat[e];
+        }
+      }
+      dgamma[cs] += static_cast<float>(sum_dy_xhat);
+      dbeta[cs] += static_cast<float>(sum_dy);
+      const float mean_dy = static_cast<float>(sum_dy) / count;
+      const float mean_dy_xhat = static_cast<float>(sum_dy_xhat) / count;
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t j = 0; j < plane; ++j) {
+          const int64_t e = (i * c_ + c) * plane + j;
+          dx[e] = gamma[cs] * inv_std[cs] * (dy[e] - mean_dy - xhat[e] * mean_dy_xhat);
+        }
+      }
+    }
+    return dx;
+  }
+};
+
+std::vector<float> as_vector(const Tensor& t) { return {t.data().begin(), t.data().end()}; }
+
+bool same_bits(const Tensor& a, const std::vector<float>& b) {
+  return a.numel() == static_cast<int64_t>(b.size()) &&
+         std::memcmp(a.data().data(), b.data(), b.size() * sizeof(float)) == 0;
+}
+
+TEST(BatchNormBitIdentity, MatchesSerialPerChannelReference) {
+  for (const int64_t channels : {3, 5, 8, 10}) {  // 10: densenet's growth, a tail group of 2
+    SCOPED_TRACE("channels " + std::to_string(channels));
+    Rng rng(200 + channels);
+    BatchNorm2d bn("bn", channels);
+    bn.gamma().value = Tensor::randn(Shape{channels}, rng);
+    bn.beta().value = Tensor::randn(Shape{channels}, rng);
+    bn.running_var() = Tensor::rand(Shape{channels}, rng, 0.5f, 2.0f);
+    bn.running_mean() = Tensor::randn(Shape{channels}, rng);
+    BnRef ref{as_vector(bn.gamma().value), as_vector(bn.beta().value),
+              as_vector(bn.running_mean()), as_vector(bn.running_var()), {}, Tensor(), 0.1f,
+              1e-5f};
+    std::vector<float> dgamma(static_cast<size_t>(channels), 0.25f), dbeta(dgamma);
+    bn.gamma().grad = Tensor(Shape{channels}, dgamma);
+    bn.beta().grad = Tensor(Shape{channels}, dbeta);
+
+    // Train step, an eval batch of another size, then a second train step:
+    // the cached normalized input follows every batch-shape change.
+    for (const auto& [n, train] : {std::pair<int64_t, bool>{4, true}, {2, false}, {4, true}}) {
+      SCOPED_TRACE(train ? "train" : "eval");
+      const Tensor x = Tensor::randn(Shape{n, channels, 3, 5}, rng, 2.0f) + 0.5f;
+      EXPECT_TRUE(same_bits(bn.forward(x, train), ref.forward(x, train)));
+      EXPECT_TRUE(same_bits(bn.running_mean(), ref.rmean));
+      EXPECT_TRUE(same_bits(bn.running_var(), ref.rvar));
+      const Tensor dy = Tensor::randn(x.shape(), rng);
+      EXPECT_TRUE(same_bits(bn.backward(dy), ref.backward(dy, dgamma, dbeta)));
+      EXPECT_TRUE(same_bits(bn.gamma().grad, dgamma));
+      EXPECT_TRUE(same_bits(bn.beta().grad, dbeta));
+    }
+  }
 }
 
 // ----- ReLU / pools / reshape ----------------------------------------------------------

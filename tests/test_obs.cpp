@@ -10,6 +10,7 @@
 #include "data/synth.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
+#include "tensor/arena.hpp"
 
 namespace rp::obs {
 namespace {
@@ -195,6 +196,12 @@ TEST_F(ObsTest, TracingDoesNotAffectResults) {
     nn::train(*net, *ds, tcfg);
     return nn::evaluate(*net, *ds);
   };
+  // The arena counters asserted below need the engine on; pin it rather than
+  // rely on the RP_ARENA default (check.sh also runs this under RP_ARENA=off).
+  struct ArenaPin {
+    ArenaPin() { mem::force(mem::Mode::kOn); }
+    ~ArenaPin() { mem::reset(); }
+  } const arena_pin;
 
   configure(Config{});
   const auto baseline = run();
@@ -212,8 +219,8 @@ TEST_F(ObsTest, TracingDoesNotAffectResults) {
   EXPECT_GT(counter_value(Counter::kGemmCalls), 0);
   EXPECT_EQ(counter_value(Counter::kTrainSamples), 48);
   EXPECT_EQ(counter_value(Counter::kEvalSamples), 48);
-  // …including the memory-discipline engine (RP_ARENA defaults to auto):
-  // per-batch scope resets and arena bump traffic are visible, and the
+  // …including the memory-discipline engine (pinned on above): per-batch
+  // scope resets and arena bump traffic are visible, and the
   // steady-state contract keeps heap fall-throughs far below reset count.
   EXPECT_GT(counter_value(Counter::kMemArenaResets), 0);
   EXPECT_GT(counter_value(Counter::kMemArenaBytes), 0);
