@@ -24,7 +24,6 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/arena.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
@@ -33,9 +32,9 @@
 // ---------------------------------------------------------------------------
 // Heap-allocation census for the BM_*Allocs benches: every operator new in
 // this binary bumps a counter. The replacement exists in the bench binary
-// only — the library is untouched — and delegates to malloc/free, so the
-// arena's own chunk mmap/malloc traffic (which happens once at warmup) is
-// deliberately NOT counted: the benches measure per-step operator-new
+// only — the library is untouched — and delegates to malloc/free. The lane
+// pool's block allocations go through operator new too, so a bucket miss
+// after warmup shows up here: the benches measure per-step operator-new
 // traffic, the thing the memory-discipline engine promises to eliminate.
 
 // noinline: keeps the census bodies out of callers, which would otherwise
@@ -420,15 +419,13 @@ void BM_TrainingStep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrainingStep);
 
-/// Per-step operator-new count of a warmed-up training step. Arg(0) pins
-/// RP_ARENA=off (the "before" record), Arg(1) pins it on — the
-/// memory-discipline acceptance number: with the arena engine the steady
-/// state makes zero trips through operator new per step (tensors come from
-/// the lane arena/pool, both malloc-backed and warm). Iterations are pinned
-/// so the count is exact, threads at 1 so the census is single-lane.
+/// Per-step operator-new count of a warmed-up training step — the
+/// memory-discipline acceptance number: the steady state makes zero trips
+/// through operator new per step (scratch tensors recycle warm lane-pool
+/// blocks). Iterations are pinned so the count is exact, threads at 1 so the
+/// census is single-lane.
 void BM_TrainStepAllocs(benchmark::State& state) {
   parallel::set_num_threads(1);
-  mem::force(state.range(0) == 1 ? mem::Mode::kOn : mem::Mode::kOff);
   data::SynthConfig cfg;
   cfg.n = 64;
   cfg.seed = 9;
@@ -438,30 +435,26 @@ void BM_TrainStepAllocs(benchmark::State& state) {
   for (int64_t i = 0; i < 64; ++i) idx[static_cast<size_t>(i)] = i;
   data::Batch batch = data::make_batch(*ds, idx);
   const auto step = [&] {
-    const mem::Scope scope;  // the per-batch reset boundary nn::train uses
     Tensor logits = net->forward(batch.images, true);
     const auto lr = nn::softmax_cross_entropy(logits, batch.labels);
     net->zero_grad();
     net->backward(lr.dlogits);
     benchmark::DoNotOptimize(lr.loss);
   };
-  for (int i = 0; i < 3; ++i) step();  // warm the lane arena and pool
+  for (int i = 0; i < 3; ++i) step();  // warm the lane pool
   const std::uint64_t before = g_heap_allocs.load(std::memory_order_relaxed);
   for (auto _ : state) step();
   const std::uint64_t after = g_heap_allocs.load(std::memory_order_relaxed);
   state.counters["heap_allocs_per_step"] = benchmark::Counter(
       static_cast<double>(after - before) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * 64);
-  state.SetLabel(std::string("RP_ARENA=") + mem::mode_name(mem::mode()));
-  mem::reset();
   parallel::set_num_threads(0);
 }
-BENCHMARK(BM_TrainStepAllocs)->Arg(0)->Arg(1)->Iterations(20);
+BENCHMARK(BM_TrainStepAllocs)->Iterations(20);
 
 /// Same census for a full evaluate() pass (batched forward + argmax + loss).
 void BM_EvalAllocs(benchmark::State& state) {
   parallel::set_num_threads(1);
-  mem::force(state.range(0) == 1 ? mem::Mode::kOn : mem::Mode::kOff);
   data::SynthConfig cfg;
   cfg.n = 128;
   cfg.seed = 13;
@@ -477,11 +470,9 @@ void BM_EvalAllocs(benchmark::State& state) {
   state.counters["heap_allocs_per_step"] = benchmark::Counter(
       static_cast<double>(after - before) / static_cast<double>(state.iterations()));
   state.SetItemsProcessed(state.iterations() * 128);
-  state.SetLabel(std::string("RP_ARENA=") + mem::mode_name(mem::mode()));
-  mem::reset();
   parallel::set_num_threads(0);
 }
-BENCHMARK(BM_EvalAllocs)->Arg(0)->Arg(1)->Iterations(10);
+BENCHMARK(BM_EvalAllocs)->Iterations(10);
 
 void BM_BackselectStep(benchmark::State& state) {
   auto net = nn::build_network("resnet8", nn::synth_cifar_task(), 1);

@@ -15,8 +15,8 @@
 # Release/NDEBUG build — a debug timing must never reach the committed perf
 # record), then the
 # ASan+UBSan build and the same suite under it (also with SIMD dispatched, so
-# the sanitizers cover the intrinsic kernels). Exits non-zero on the first
-# failure.
+# the sanitizers cover the intrinsic kernels, and with the scratch pool
+# poisoning its free-listed blocks). Exits non-zero on the first failure.
 #
 #   scripts/check.sh             # everything
 #   RP_CHECK_SKIP_ASAN=1 scripts/check.sh   # skip the sanitizer pass (quick)
@@ -78,7 +78,7 @@ ctest --test-dir build --output-on-failure -R 'SchedTest' -j 1
 echo "== [5/7] Serving smoke: routing policy, queue lifecycle, corrupt-variant drop =="
 # Full rp::serve suite serially: registry load order, potential-aware
 # routing, admission/drain lifecycle, the bit-identity proof vs direct
-# predict across RP_THREADS x RP_SPARSE x RP_ARENA, and the corrupt-variant
+# predict across RP_THREADS x RP_SPARSE, and the corrupt-variant
 # degradation path (the test arms its own bitflip schedule through the
 # RP_FAULTS machinery and asserts quarantine-and-drop, never crash).
 ctest --test-dir build --output-on-failure -R 'Serve' -j 1
@@ -126,18 +126,13 @@ XEOF
 rm -f "$SERVE_PROBE"
 
 if [[ "${RP_CHECK_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== [7/7] ASan+UBSan build + tests (arena engine forced on, poison canaries armed) =="
+  echo "== [7/7] ASan+UBSan build + tests (scratch pool poisons released blocks) =="
   cmake -B build-asan -S . -DRP_SANITIZE=address,undefined -DRP_WERROR=ON
   cmake --build build-asan -j "$JOBS"
-  # Full suite with the memory-discipline engine forced ON and the 0xA5C3DEAD
-  # reset-poison live: every scratch bump, scope reset, and pool recycle runs
-  # instrumented, and a use-after-reset shows up as a poisoned read even where
-  # ASan cannot see it (arena memory is recycled, never unmapped).
-  RP_ARENA=on RP_ARENA_POISON=1 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
-  # Engine-off lane under the sanitizers too: plain heap tensors everywhere,
-  # exercised over the arena/trainer/obs slice where the two paths diverge.
-  RP_ARENA=off ctest --test-dir build-asan --output-on-failure \
-    -R 'Arena|TrainerTest|ObsTest' -j "$JOBS"
+  # Full suite once: the lane pool ASan-poisons every block it free-lists,
+  # so a read through a released scratch tensor is a sanitizer report, not a
+  # silently reused value.
+  ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 fi
 
 echo "check.sh: all gates passed"

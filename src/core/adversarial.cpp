@@ -35,10 +35,6 @@ Tensor pgd(nn::Network& net, const Tensor& image, int64_t label, float eps, floa
   if (steps < 1) throw std::invalid_argument("pgd: need at least one step");
   Tensor adv = Tensor::scratch_copy(image.shape(), image.data().data());
   for (int step = 0; step < steps; ++step) {
-    // Per-step arena generation: `adv` was allocated before the scope opened,
-    // so it sits below the watermark and survives every reset; the step's
-    // forward/backward temporaries do not.
-    const mem::Scope step_scope;
     const Tensor g = input_gradient(net, adv, label);
     for (int64_t i = 0; i < adv.numel(); ++i) {
       float v = adv[i] + alpha * (g[i] > 0 ? 1.0f : (g[i] < 0 ? -1.0f : 0.0f));
@@ -58,9 +54,6 @@ double adversarial_accuracy(nn::Network& net, const data::Dataset& ds, Attack at
   if (n_images < 1) throw std::invalid_argument("adversarial_accuracy: empty dataset");
   int64_t hits = 0;
   for (int64_t i = 0; i < n_images; ++i) {
-    // Per-image arena generation: the clean copy, attack iterate, staging
-    // batch, and logits all die at the end of the iteration.
-    const mem::Scope image_scope;
     const Tensor clean = ds.image(i);
     const int64_t label = ds.label(i);
     const Tensor x = eps > 0.0f

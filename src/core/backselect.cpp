@@ -19,9 +19,6 @@ std::vector<float> class_probs(nn::Network& net, const Tensor& images, int64_t c
   const float* src = images.data().data();
   std::vector<float> out(static_cast<size_t>(n));
   for (int64_t start = 0; start < n; start += batch) {
-    // Per-chunk arena generation: staging copy, activations, and the softmax
-    // result die before the reset.
-    const mem::Scope chunk_scope;
     const int64_t end = std::min<int64_t>(start + batch, n);
     Tensor chunk = Tensor::scratch_copy(
         Shape{end - start, images.size(1), images.size(2), images.size(3)}, src + start * rowsz);
@@ -51,11 +48,6 @@ std::vector<int64_t> backselect_order(nn::Network& net, const Tensor& image, int
   order.reserve(static_cast<size_t>(npix));
 
   while (!remaining.empty()) {
-    // Per-round arena generation: the candidate stack is by far the largest
-    // temporary here (one masked copy of the image per remaining pixel) and
-    // dies with the scope; class_probs nests its own per-chunk scopes below
-    // this round's watermark.
-    const mem::Scope round_scope;
     // Evaluate the confidence after masking each remaining pixel alone.
     Tensor candidates = Tensor::scratch(
         Shape{static_cast<int64_t>(remaining.size()), image.size(0), image.size(1), image.size(2)});
@@ -115,7 +107,6 @@ Tensor apply_pixel_mask(const Tensor& image, std::span<const uint8_t> keep, floa
 }
 
 float confidence(nn::Network& net, const Tensor& image, int64_t cls) {
-  const mem::Scope scope;
   Tensor batch = Tensor::scratch(Shape{1, image.size(0), image.size(1), image.size(2)});
   batch.set_slice0(0, image);
   const Tensor probs = softmax_rows(net.forward(batch, /*train=*/false));
@@ -137,7 +128,6 @@ Tensor informative_feature_matrix(std::span<const ModelRef> models, const data::
       // Informative pixels are selected w.r.t. the generator's *prediction*.
       int64_t pred = 0;
       {
-        const mem::Scope scope;
         Tensor single = Tensor::scratch(Shape{1, image.size(0), image.size(1), image.size(2)});
         single.set_slice0(0, image);
         argmax_rows_into(gen.forward(single, /*train=*/false), {&pred, 1});

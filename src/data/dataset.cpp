@@ -44,7 +44,7 @@ Batch make_batch(const Dataset& ds, std::span<const int64_t> indices,
   const auto d = first.shape().dims();
   const bool seg = ds.segmentation();
   // Built as scratch locals and moved into the aggregate so the batch keeps
-  // its arena/pool backing; assigning into a default-constructed Batch would
+  // its lane-pool backing; assigning into a default-constructed Batch would
   // copy both buffers back onto the heap.
   Tensor images =
       Tensor::scratch(Shape{static_cast<int64_t>(indices.size()), d[0], d[1], d[2]});

@@ -64,7 +64,7 @@ class InMemoryDataset final : public Dataset {
 using ImageTransform = std::function<Tensor(const Tensor& image, Rng& rng)>;
 
 /// Batch label storage: scratch-routed like batch image tensors, so the
-/// per-batch label buffer recycles lane-pool (or arena) blocks instead of
+/// per-batch label buffer recycles lane-pool blocks instead of
 /// hitting the heap every batch. Converts to std::span<const int64_t> at
 /// every consumer.
 using LabelVec = std::vector<int64_t, mem::ScratchAllocator<int64_t>>;

@@ -99,10 +99,10 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 
   // Samples are independent (each writes its own output plane), so the
   // patch-build + GEMM loop is parallel over samples. Every lane owns one set
-  // of scratch tensors (pool-backed off the arena thread, arena-backed on
-  // it) — nested parallel loops run inline, so a lane never shares these
-  // with another forward in flight. The padded plane is zeroed once per
-  // chunk; each sample only rewrites its interior.
+  // of scratch tensors from its own pool — nested parallel loops run
+  // inline, so a lane never shares these with another forward in flight.
+  // The padded plane is zeroed once per chunk; each sample only rewrites
+  // its interior.
   parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
     Tensor padded = Tensor::scratch(Shape{geom_.pad > 0 ? geom_.padded_size() : int64_t{0}});
     Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
@@ -610,7 +610,7 @@ Tensor GlobalAvgPool::backward(const Tensor& dy) {
 Tensor Flatten::forward(const Tensor& x, bool /*train*/) {
   in_shape_ = x.shape();
   // scratch_copy instead of reshape(): same single copy, but the output is
-  // always arena/pool-backed even when the input is the heap-kind batch.
+  // always pool-backed even when the input is the heap-kind batch.
   return Tensor::scratch_copy(Shape{x.size(0), x.numel() / x.size(0)}, x.data().data());
 }
 

@@ -17,7 +17,7 @@ LossResult softmax_cross_entropy(const Tensor& logits, std::span<const int64_t> 
     throw std::invalid_argument("softmax_cross_entropy: label count mismatch");
   }
   // Built as a local and moved into the aggregate: move-construction keeps
-  // the scratch (arena/pool) buffer, where assigning to a default-heap
+  // the scratch (lane-pool) buffer, where assigning to a default-heap
   // member would deep-copy it back onto the heap.
   auto dl = softmax_rows(logits);
   double loss = 0.0;

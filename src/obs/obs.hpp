@@ -44,8 +44,8 @@ enum class Counter : int {
   kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (CSR layout)
   kSparseNnz,           ///< nonzeros in weights compiled to a sparse layout
   kSparseBytesSaved,    ///< dense bytes minus compiled bytes, summed over compiles
-  kMemArenaBytes,       ///< bytes served by arena bump allocations
-  kMemArenaResets,      ///< arena scope resets (iteration boundaries)
+  kMemArenaBytes,       ///< always 0; shim for bench_e2e, goes with the next benchmark change
+  kMemArenaResets,      ///< always 0; shim for bench_e2e, goes with the next benchmark change
   kMemPoolHits,         ///< scratch requests served from a pool free list
   kMemHeapAllocsHot,    ///< scratch requests that fell through to the heap
   kServeRequests,       ///< requests admitted by the serving engine

@@ -259,12 +259,9 @@ void Engine::run_batch(const Variant& variant, const std::vector<int>& group) {
   const int64_t k = static_cast<int64_t>(group.size());
   const int64_t row = t.in_c * t.in_h * t.in_w;
 
-  // One arena generation per batch: the staged input tensor and every
-  // forward-pass temporary die before the scope resets — steady-state
-  // serving never touches the heap (the response rows live in per-slot
-  // buffers that grew once).
-  const mem::Scope arena_scope(
-      static_cast<std::size_t>(variant.net->param_count()) * sizeof(float));
+  // The staged input tensor and every forward-pass temporary are lane-pool
+  // scratch — steady-state serving never touches the heap (the response
+  // rows live in per-slot buffers that grew once).
   Tensor batch = Tensor::scratch(Shape{k, t.in_c, t.in_h, t.in_w});
   float* bd = batch.data().data();
   for (int64_t i = 0; i < k; ++i) {
@@ -272,7 +269,7 @@ void Engine::run_batch(const Variant& variant, const std::vector<int>& group) {
                 static_cast<size_t>(row) * sizeof(float));
   }
 
-  // rp-lint: allow(R12) forward's result is arena scratch inside this flush's mem::Scope (heap only when the engine is off)
+  // rp-lint: allow(R12) forward's result is lane-pool scratch, recycled when this batch returns
   Tensor logits = variant.net->forward(batch, /*train=*/false);
   const int64_t lrow = logits.numel() / k;
   const float* ld = logits.data().data();

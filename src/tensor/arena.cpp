@@ -1,90 +1,33 @@
 #include "tensor/arena.hpp"
 
+#include <sanitizer/asan_interface.h>
+
 #include <array>
-#include <atomic>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
+#include <cstdint>
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "tensor/envspec.hpp"
 
 namespace rp::mem {
 
 namespace {
 
-// -- mode resolution (mirrors sparse.cpp's RP_SPARSE handling) --------------
-
-}  // namespace
-
-Mode parse_mode_spec(const std::string& text) {
-  if (text == "off" || text == "0") return Mode::kOff;
-  if (text == "on" || text == "1") return Mode::kOn;
-  if (text == "auto") return Mode::kAuto;
-  throw std::invalid_argument("RP_ARENA: bad value '" + text +
-                              "' (expected off|0|on|1|auto)");
-}
-
-namespace {
-
-Mode resolve_from_env() {
-  std::string want = "auto";
-  if (const char* env = std::getenv("RP_ARENA")) want = env;
-  // Strict parse-or-exit(2): a typo'd RP_ARENA must not silently run the
-  // engine the operator thought they disabled. (auto still means engine on —
-  // a pure relocation of bytes, bit-identical by construction.)
-  return env::die_on_bad_spec([&] { return parse_mode_spec(want); });
-}
-
-// Mode override for force()/reset(); -1 = resolve from env. Written only by
-// test hooks; every mode produces bit-identical results, so even a racy
-// transition could not change outputs — only where scratch bytes live.
-// rp-lint: allow(R3) mode pin for tests; all modes are bit-identical
-std::atomic<int> g_forced{-1};
-
-// Poison override for reset(); -1 = resolve (NDEBUG / RP_ARENA_POISON).
-// rp-lint: allow(R3) poison pin; diagnostics only, never a result path
-std::atomic<int> g_poison{-1};
-
-bool resolve_poison_from_env() {
-#ifndef NDEBUG
-  return true;
-#else
-  const char* env = std::getenv("RP_ARENA_POISON");
-  return env != nullptr && env[0] == '1' && env[1] == '\0';
-#endif
-}
-
-// -- block headers ----------------------------------------------------------
-// Every scratch block is preceded by one 64-byte header recording where it
-// came from, so scratch_release routes correctly from any thread with no
-// registry or lock. A stale release (arena block touched after its Scope
-// reset poisoned the header) fails the magic check and is a deliberate
-// no-op: the arena already reclaimed those bytes.
+// -- block header -----------------------------------------------------------
+// Every scratch block is preceded by one 64-byte header recording its
+// bucket, so scratch_release routes correctly from any thread with no
+// registry or lock. A header that fails the magic check is corruption: the
+// release leaks the block rather than pushing garbage onto a free list.
 
 constexpr std::size_t kHeaderBytes = 64;
-constexpr std::size_t kQuantum = 64;  ///< bump granularity; keeps blocks cache-line separated
 
-constexpr std::uint64_t kMagicArena = 0x5250'4152'454E'4131ull;  // "RPARENA1"
-constexpr std::uint64_t kMagicPool = 0x5250'504F'4F4C'5F31ull;   // "RPPOOL_1"
-constexpr std::uint64_t kMagicHeap = 0x5250'4845'4150'5F31ull;   // "RPHEAP_1"
+constexpr std::uint64_t kMagicPool = 0x5250'504F'4F4C'5F31ull;  // "RPPOOL_1"
 
 struct BlockHeader {
   std::uint64_t magic = 0;
-  std::uint64_t bucket = 0;  ///< pool blocks: log2 of the bucket's byte size
+  std::uint64_t bucket = 0;  ///< log2 of the block's byte size
 };
 static_assert(sizeof(BlockHeader) <= kHeaderBytes);
-
-std::size_t round_quantum(std::size_t bytes) {
-  return (bytes + kQuantum - 1) & ~(kQuantum - 1);
-}
-
-void poison_fill(void* p, std::size_t bytes) {
-  auto* dst = static_cast<std::uint32_t*>(p);
-  const std::size_t n = bytes / sizeof(std::uint32_t);
-  for (std::size_t i = 0; i < n; ++i) dst[i] = kPoisonPattern;
-}
 
 // -- per-lane state ---------------------------------------------------------
 
@@ -95,90 +38,49 @@ constexpr std::size_t kBucketCount = 48;
 /// worker that destroys tensors other lanes made) cannot hoard unboundedly.
 constexpr std::size_t kMaxFreePerBucket = 64;
 
-struct Chunk {
-  void* base = nullptr;
-  std::size_t cap = 0;
-  std::size_t used = 0;
-};
+std::size_t bucket_bytes(std::size_t b) { return std::size_t{1} << b; }
 
-constexpr std::size_t kMinChunkBytes = std::size_t{1} << 20;  // 1 MiB
+/// Frees a free-listed block, which is ASan-poisoned while it waits.
+void free_block(void* raw, std::size_t b) {
+  ASAN_UNPOISON_MEMORY_REGION(raw, bucket_bytes(b));
+  ::operator delete(raw);
+}
 
 struct Lane {
-  std::vector<Chunk> chunks;
-  std::size_t cur = 0;  ///< active chunk index (chunks beyond it are empty)
-  int depth = 0;        ///< live Scope count on this lane
   std::array<std::vector<void*>, kBucketCount> pool;
 
-  ~Lane() {
-    for (Chunk& c : chunks) ::operator delete(c.base);
-    for (auto& bucket : pool) {
-      for (void* p : bucket) ::operator delete(p);
+  void clear() {
+    for (std::size_t b = 0; b < kBucketCount; ++b) {
+      for (void* p : pool[b]) free_block(p, b);
+      pool[b].clear();
     }
   }
+  ~Lane() { clear(); }
 };
 
 Lane& lane() {
-  // rp-lint: allow(R3) per-lane arena/pool state; each lane only bumps its own
+  // rp-lint: allow(R3) per-lane pool state; each lane only pops its own lists
   thread_local Lane tl_lane;
   return tl_lane;
 }
 
-// -- arena ------------------------------------------------------------------
+}  // namespace
 
-void* arena_alloc(Lane& l, std::size_t total) {
-  while (l.cur < l.chunks.size() && l.chunks[l.cur].cap - l.chunks[l.cur].used < total) {
-    ++l.cur;  // later chunks are empty (their used reset to 0), so any fit works
-  }
-  if (l.cur == l.chunks.size()) {
-    std::size_t cap = std::max(total, kMinChunkBytes);
-    if (!l.chunks.empty()) cap = std::max(cap, 2 * l.chunks.back().cap);
-    // Chunk growth is a real heap allocation on the hot path — it must go
-    // quiet after warmup, so it shares the fell-through-to-heap counter.
-    obs::count(obs::Counter::kMemHeapAllocsHot);
-    l.chunks.push_back(Chunk{::operator new(cap), cap, 0});
-  }
-  Chunk& c = l.chunks[l.cur];
-  void* p = static_cast<char*>(c.base) + c.used;
-  c.used += total;
-  obs::count(obs::Counter::kMemArenaBytes, static_cast<int64_t>(total));
-  return p;
-}
+// ---------------------------------------------------------------------------
+// Raw routing
 
-void arena_reset_to(Lane& l, std::size_t chunk, std::size_t used) {
-  const bool poison = poison_enabled();
-  for (std::size_t i = l.chunks.size(); i-- > chunk + 1;) {
-    Chunk& c = l.chunks[i];
-    if (c.used == 0) continue;
-    if (poison) poison_fill(c.base, c.used);
-    c.used = 0;
-  }
-  if (chunk < l.chunks.size()) {
-    Chunk& c = l.chunks[chunk];
-    if (c.used > used) {
-      if (poison) poison_fill(static_cast<char*>(c.base) + used, c.used - used);
-      c.used = used;
-    }
-  }
-  l.cur = chunk;
-}
-
-// -- pool -------------------------------------------------------------------
-
-std::size_t bucket_index(std::size_t total) {
-  const std::size_t want = std::max(total, kQuantum);
-  return static_cast<std::size_t>(std::bit_width(want - 1));
-}
-
-void* pool_alloc(Lane& l, std::size_t total) {
-  const std::size_t b = bucket_index(total);
-  auto& list = l.pool[b];
+void* scratch_acquire(std::size_t bytes) {
+  // The header alone fills bucket 6, so every block is at least a cache line.
+  const auto b = static_cast<std::size_t>(std::bit_width(bytes + kHeaderBytes - 1));
+  auto& list = lane().pool[b];
   void* raw = nullptr;
   if (!list.empty()) {
     raw = list.back();
     list.pop_back();
+    ASAN_UNPOISON_MEMORY_REGION(raw, bucket_bytes(b));
     obs::count(obs::Counter::kMemPoolHits);
   } else {
-    raw = ::operator new(std::size_t{1} << b);
+    raw = ::operator new(bucket_bytes(b));
     obs::count(obs::Counter::kMemHeapAllocsHot);
   }
   auto* hdr = static_cast<BlockHeader*>(raw);
@@ -187,151 +89,40 @@ void* pool_alloc(Lane& l, std::size_t total) {
   return static_cast<char*>(raw) + kHeaderBytes;
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Mode
-
-Mode mode() {
-  const int f = g_forced.load(std::memory_order_acquire);
-  if (f >= 0) return static_cast<Mode>(f);
-  // Resolve once; RP_ARENA is read at first use, like RP_SIMD/RP_SPARSE.
-  static const Mode env_mode = resolve_from_env();  // rp-lint: allow(R3) resolved-once constant
-  return env_mode;
-}
-
-void force(Mode m) { g_forced.store(static_cast<int>(m), std::memory_order_release); }
-
-void reset() {
-  g_forced.store(-1, std::memory_order_release);
-  g_poison.store(-1, std::memory_order_release);
-}
-
-const char* mode_name(Mode m) {
-  switch (m) {
-    case Mode::kOff: return "off";
-    case Mode::kOn: return "on";
-    case Mode::kAuto: return "auto";
-  }
-  return "?";
-}
-
-bool poison_enabled() {
-  int p = g_poison.load(std::memory_order_acquire);
-  if (p < 0) {
-    p = resolve_poison_from_env() ? 1 : 0;
-    g_poison.store(p, std::memory_order_release);
-  }
-  return p != 0;
-}
-
-// ---------------------------------------------------------------------------
-// Scope
-
-// The unhinted scope is always active: a hint exactly at the threshold is
-// the smallest hint auto keeps, so delegating with it preserves behavior.
-Scope::Scope() : Scope(kAutoArenaMinBytes) {}
-
-Scope::Scope(std::size_t model_bytes_hint)
-    : active_(!(mode() == Mode::kAuto && model_bytes_hint < kAutoArenaMinBytes)),
-      chunk_(0),
-      used_(0) {
-  if (!active_) return;  // inert: lane pool serves this iteration's scratch
-  Lane& l = lane();
-  chunk_ = l.cur;
-  used_ = l.cur < l.chunks.size() ? l.chunks[l.cur].used : 0;
-  ++l.depth;
-}
-
-Scope::~Scope() {
-  if (!active_) return;
-  Lane& l = lane();
-  arena_reset_to(l, chunk_, used_);
-  --l.depth;
-  obs::count(obs::Counter::kMemArenaResets);
-}
-
-bool scope_active() { return lane().depth > 0; }
-
-// ---------------------------------------------------------------------------
-// Raw routing
-
-void* scratch_acquire(std::size_t bytes) {
-  const std::size_t total = round_quantum(bytes + kHeaderBytes);
-  if (engine_on()) {
-    Lane& l = lane();
-    if (l.depth > 0) {
-      void* raw = arena_alloc(l, total);
-      auto* hdr = static_cast<BlockHeader*>(raw);
-      hdr->magic = kMagicArena;
-      hdr->bucket = 0;
-      return static_cast<char*>(raw) + kHeaderBytes;
-    }
-    return pool_alloc(l, total);
-  }
-  void* raw = ::operator new(total);
-  auto* hdr = static_cast<BlockHeader*>(raw);
-  hdr->magic = kMagicHeap;
-  hdr->bucket = 0;
-  return static_cast<char*>(raw) + kHeaderBytes;
-}
-
 void scratch_release(void* p, std::size_t /*bytes*/) noexcept {
   if (p == nullptr) return;
   void* raw = static_cast<char*>(p) - kHeaderBytes;
-  auto* hdr = static_cast<BlockHeader*>(raw);
-  switch (hdr->magic) {
-    case kMagicArena:
-      // Reclaimed wholesale by the owning Scope's reset; nothing to do.
-      return;
-    case kMagicPool: {
-      const std::size_t b = hdr->bucket;
-      if (b >= kBucketCount) return;  // corrupted header: leak, don't crash
-      auto& list = lane().pool[b];
-      if (list.size() < kMaxFreePerBucket) {
-        list.push_back(raw);
-      } else {
-        ::operator delete(raw);
-      }
-      return;
-    }
-    case kMagicHeap:
-      ::operator delete(raw);
-      return;
-    default:
-      // Stale arena block (header poisoned by a Scope reset) or corruption:
-      // the storage is already reclaimed / unaccounted — leaking is the safe
-      // failure, and poisoned payloads make the stale *read* loud in tests.
-      return;
+  const auto* hdr = static_cast<const BlockHeader*>(raw);
+  const std::size_t b = hdr->bucket;
+  if (hdr->magic != kMagicPool || b >= kBucketCount) return;  // corrupted: leak, don't crash
+  auto& list = lane().pool[b];
+  if (list.size() < kMaxFreePerBucket) {
+    list.push_back(raw);
+    ASAN_POISON_MEMORY_REGION(raw, bucket_bytes(b));
+  } else {
+    ::operator delete(raw);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Diagnostics
 
-LaneStats lane_stats() {
-  Lane& l = lane();
-  LaneStats s;
-  for (const Chunk& c : l.chunks) {
-    s.arena_reserved += c.cap;
-    s.arena_used += c.used;
-  }
-  for (std::size_t b = 0; b < kBucketCount; ++b) {
-    s.pool_buffers += l.pool[b].size();
-    s.pool_bytes += l.pool[b].size() * (std::size_t{1} << b);
-  }
-  return s;
+std::size_t lane_free_blocks() {
+  std::size_t n = 0;
+  for (const auto& list : lane().pool) n += list.size();
+  return n;
 }
 
-void release_lane() {
-  Lane& l = lane();
-  for (Chunk& c : l.chunks) ::operator delete(c.base);
-  l.chunks.clear();
-  l.cur = 0;
-  for (auto& bucket : l.pool) {
-    for (void* p : bucket) ::operator delete(p);
-    bucket.clear();
-  }
-}
+void release_lane() { lane().clear(); }
+
+// ---------------------------------------------------------------------------
+// Benchmark shim (see arena.hpp)
+
+Scope::Scope(std::size_t /*model_bytes_hint*/) {}
+Scope::~Scope() = default;
+
+Mode mode() { return Mode::kPool; }
+
+const char* mode_name(Mode /*m*/) { return "pool"; }
 
 }  // namespace rp::mem

@@ -34,7 +34,7 @@ float l2_distance(const Tensor& a, const Tensor& b);
 // Row-wise helpers for [N, C] matrices -----------------------------------------
 
 /// Row-wise softmax of a [N, C] logits matrix. The result is a scratch
-/// (arena/pool) tensor; move-construct from it to keep that backing.
+/// (lane-pool) tensor; move-construct from it to keep that backing.
 Tensor softmax_rows(const Tensor& logits);
 /// Row-wise softmax in place — the allocation-free core of softmax_rows,
 /// bit-identical to it.

@@ -25,7 +25,7 @@ thread_local int tl_depth = 0;  // rp-lint: allow(R3) per-lane nesting depth, po
 int env_default_threads() {
   // Strict parse-or-exit(2): "RP_THREADS=4junk" used to run with 4 threads
   // via atoi; now any value that is not a positive integer (or the literal
-  // "auto", matching the sibling RP_SIMD/RP_SPARSE/RP_ARENA grammar) kills
+  // "auto", matching the sibling RP_SIMD/RP_SPARSE grammar) kills
   // the process loudly instead of silently shaping every measurement.
   if (const char* env = std::getenv("RP_THREADS")) {
     const std::string text(env);

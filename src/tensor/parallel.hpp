@@ -12,7 +12,7 @@ namespace rp::parallel {
 /// copy spills to the heap past the 16-byte SBO. The conv/gemm loop bodies
 /// all capture more than that, which put one operator-new on EVERY
 /// parallel_for call and made the pool boundary the biggest remaining heap
-/// source in a warmed-up train step under RP_ARENA=on (measured by
+/// source in a warmed-up train step (measured by
 /// BM_TrainStepAllocs). The referenced callable must outlive the call;
 /// parallel_for / run_shards guarantee that by blocking until every chunk
 /// has finished.

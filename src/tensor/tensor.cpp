@@ -47,7 +47,7 @@ Tensor Tensor::reshape(Shape new_shape) const {
   }
   if (is_scratch()) {
     // Hot-path reshapes (flatten() between conv and linear stages) run on
-    // scratch activations: the copy lands back on the arena/pool, so steady
+    // scratch activations: the copy lands back on the lane pool, so steady
     // state stays heap-allocation-free.
     return scratch_copy(std::move(new_shape), data().data());
   }

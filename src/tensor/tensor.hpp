@@ -19,17 +19,16 @@ namespace rp {
 ///
 /// Storage comes in two kinds. The default is a plain heap vector — stable,
 /// long-lived, what parameters and datasets use. `Tensor::scratch()` builds
-/// the same zero-filled tensor with storage routed through rp::mem (lane
-/// arena inside a mem::Scope, pow2 pool otherwise), the sanctioned form for
-/// hot-loop temporaries. The kind is carried by the storage allocator:
-/// copies (construction *and* assignment) always land on heap storage, so a
-/// scratch tensor can be captured past its scope only by an explicit move
-/// construction — assignment into an existing tensor copies elements into
-/// the destination's own storage.
+/// the same zero-filled tensor with storage routed through rp::mem's
+/// per-lane pow2 pool, the sanctioned form for hot-loop temporaries. The
+/// kind is carried by the storage allocator: copies (construction *and*
+/// assignment) always land on heap storage, so a scratch block changes
+/// hands only by an explicit move construction — assignment into an
+/// existing tensor copies elements into the destination's own storage.
 class Tensor {
  public:
   /// Element storage: allocator-routed so scratch tensors can live on the
-  /// lane arena/pool while heap tensors keep std::allocator behavior.
+  /// lane pool while heap tensors keep std::allocator behavior.
   using Storage = std::vector<float, mem::ScratchAllocator<float>>;
 
   /// Empty 0-element tensor.
@@ -49,11 +48,10 @@ class Tensor {
   // ----- factories ---------------------------------------------------------
 
   /// Zero-initialized tensor whose storage routes through the rp::mem
-  /// engine: bit-identical to Tensor(Shape) everywhere, but allocation-free
-  /// in steady state on hot paths (O(1) arena bump inside a mem::Scope, pool
-  /// recycle outside one). Use for per-iteration temporaries only; anything
-  /// that must survive an iteration boundary should be copy-assigned into a
-  /// long-lived tensor (which lands on heap storage automatically).
+  /// pool: bit-identical to Tensor(Shape) everywhere, but allocation-free
+  /// in steady state on hot paths (a lane free-list pop). Use for
+  /// per-iteration temporaries; anything long-lived should be copy-assigned
+  /// into a heap tensor (which a copy lands on automatically).
   static Tensor scratch(Shape shape) { return Tensor(std::move(shape), ScratchTag{}); }
 
   /// Scratch tensor of `shape` pre-filled from `src` (shape.numel() floats)
@@ -62,7 +60,7 @@ class Tensor {
     return Tensor(std::move(shape), src, ScratchTag{});
   }
 
-  /// True when this tensor's storage is scratch-kind (arena/pool routed).
+  /// True when this tensor's storage is scratch-kind (lane-pool routed).
   bool is_scratch() const { return data_.get_allocator().scratch; }
 
   static Tensor zeros(Shape shape) { return Tensor(std::move(shape)); }

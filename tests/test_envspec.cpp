@@ -4,7 +4,6 @@
 
 #include <cstdlib>
 
-#include "tensor/arena.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse.hpp"
@@ -58,17 +57,6 @@ TEST(EnvSpec, SparseSpecParsesAllModesAndRejectsTypos) {
   EXPECT_EQ(sparse::parse_mode_spec("auto"), sparse::Mode::kAuto);
   for (const char* bad : {"csrr", "CSR", "block", "blocked", "", "on"}) {
     EXPECT_THROW(sparse::parse_mode_spec(bad), std::invalid_argument) << bad;
-  }
-}
-
-TEST(EnvSpec, ArenaSpecParsesAllModesAndRejectsTypos) {
-  EXPECT_EQ(mem::parse_mode_spec("off"), mem::Mode::kOff);
-  EXPECT_EQ(mem::parse_mode_spec("0"), mem::Mode::kOff);
-  EXPECT_EQ(mem::parse_mode_spec("on"), mem::Mode::kOn);
-  EXPECT_EQ(mem::parse_mode_spec("1"), mem::Mode::kOn);
-  EXPECT_EQ(mem::parse_mode_spec("auto"), mem::Mode::kAuto);
-  for (const char* bad : {"offf", "2", "true", ""}) {
-    EXPECT_THROW(mem::parse_mode_spec(bad), std::invalid_argument) << bad;
   }
 }
 

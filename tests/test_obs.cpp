@@ -10,7 +10,6 @@
 #include "data/synth.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/arena.hpp"
 
 namespace rp::obs {
 namespace {
@@ -196,13 +195,6 @@ TEST_F(ObsTest, TracingDoesNotAffectResults) {
     nn::train(*net, *ds, tcfg);
     return nn::evaluate(*net, *ds);
   };
-  // The arena counters asserted below need the engine on; pin it rather than
-  // rely on the RP_ARENA default (check.sh also runs this under RP_ARENA=off).
-  struct ArenaPin {
-    ArenaPin() { mem::force(mem::Mode::kOn); }
-    ~ArenaPin() { mem::reset(); }
-  } const arena_pin;
-
   configure(Config{});
   const auto baseline = run();
 
@@ -219,22 +211,17 @@ TEST_F(ObsTest, TracingDoesNotAffectResults) {
   EXPECT_GT(counter_value(Counter::kGemmCalls), 0);
   EXPECT_EQ(counter_value(Counter::kTrainSamples), 48);
   EXPECT_EQ(counter_value(Counter::kEvalSamples), 48);
-  // …including the memory-discipline engine (pinned on above): per-batch
-  // scope resets and arena bump traffic are visible, and the
-  // steady-state contract keeps heap fall-throughs far below reset count.
-  EXPECT_GT(counter_value(Counter::kMemArenaResets), 0);
-  EXPECT_GT(counter_value(Counter::kMemArenaBytes), 0);
+  // …including the memory-discipline engine: the second run recycles the
+  // lane-pool blocks the baseline run released.
+  EXPECT_GT(counter_value(Counter::kMemPoolHits), 0);
   // …and produced a loadable trace with the nn-phase spans.
   const std::string text = slurp(trace_path_);
   expect_valid_trace_json(text);
   EXPECT_NE(text.find("nn.train"), std::string::npos);
   EXPECT_NE(text.find("nn.evaluate"), std::string::npos);
-  EXPECT_NE(text.find("mem.arena"), std::string::npos);
 }
 
 TEST_F(ObsTest, MemCounterNamesAreRegistered) {
-  EXPECT_EQ(counter_name(Counter::kMemArenaBytes), std::string("mem.arena_bytes"));
-  EXPECT_EQ(counter_name(Counter::kMemArenaResets), std::string("mem.arena_resets"));
   EXPECT_EQ(counter_name(Counter::kMemPoolHits), std::string("mem.pool_hits"));
   EXPECT_EQ(counter_name(Counter::kMemHeapAllocsHot), std::string("mem.heap_allocs_hot"));
 }

@@ -11,7 +11,7 @@
 //   R12 hot-path alloc  — Tensor construction, operator new, and growing-
 //                         container calls in functions reachable from
 //                         `// rp-lint: hot` entry points (name-merged call
-//                         graph): the arena-refactor inventory.
+//                         graph): the scratch-allocator inventory.
 
 #include "analyzer.hpp"
 
@@ -319,7 +319,7 @@ class SemanticRules {
   /// alternative is Tensor::scratch()/scratch_copy() — qualified calls never
   /// match the Tensor-construction pattern, and the factory bodies (which by
   /// definition construct the tensor) are exempted here: they are the
-  /// arena/pool engine, not a hot-path escapee.
+  /// scratch-pool engine, not a hot-path escapee.
   void rule_r12() {
     if (!force_all_ && !under(fm_.path, "src/")) return;
     const auto& t = toks();
@@ -335,7 +335,7 @@ class SemanticRules {
       const auto reach = tm_.hot_reach.find(fi.name);
       if (reach == tm_.hot_reach.end()) continue;
       const std::string ctx = " in hot path '" + fi.name + "' (reachable from hot entry '" +
-                              reach->second + "'); pool/arena/hoist it or allow(R12) with a reason";
+                              reach->second + "'); use Tensor::scratch/hoist it or allow(R12) with a reason";
       for (std::size_t j = fi.body_begin; j < fi.body_end; ++j) {
         const std::string& s = t[j].text;
         if (t[j].kind != Tok::Ident) continue;
