@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate operations that
 // dominate experiment wall-clock, plus the DESIGN.md ablations:
-//   - GEMM / im2col / convolution forward+backward throughput
+//   - GEMM / convolution forward+backward throughput
 //   - masked-vs-dense cost (the masks-not-surgery design decision)
 //   - pruning-score computation per method (sensitivity ablation)
 //   - corruption throughput per family
@@ -287,18 +287,6 @@ void BM_ObsSpanDisabled(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsSpanDisabled);
 
-void BM_Im2col(benchmark::State& state) {
-  ConvGeom g{16, 16, 16, 3, 1, 1};
-  Rng rng(2);
-  Tensor img = Tensor::randn(Shape{16, 16, 16}, rng);
-  Tensor cols;
-  for (auto _ : state) {
-    im2col(img, g, cols);
-    benchmark::DoNotOptimize(cols.data().data());
-  }
-}
-BENCHMARK(BM_Im2col);
-
 void BM_ConvForward(benchmark::State& state) {
   Rng rng(3);
   nn::Conv2d conv("c", 8, 16, 3, 1, 1, 16, 16, false, rng);
@@ -309,6 +297,34 @@ void BM_ConvForward(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ConvForward);
+
+/// Conv forward through the CSR conv kernel: the resnet8 s1 geometry (c8->8
+/// k3 s1, 16x16) at batch 8, one thread, unstructured-pruned to density
+/// 0.17 and compiled with RP_SPARSE=csr. FLOPs count the dense-equivalent
+/// GEMM, so the row reads directly against a dense forward of the same size.
+void BM_ConvForwardCsr(benchmark::State& state) {
+  parallel::set_num_threads(1);
+  sparse::force(sparse::Mode::kCsr);
+  Rng rng(5);
+  nn::Conv2d conv("c", 8, 8, 3, 1, 1, 16, 16, false, rng);
+  nn::Parameter& w = conv.weight();
+  for (int64_t j = 0; j < w.mask.numel(); ++j) {
+    if (rng.uniform() >= 0.17f) w.mask[j] = 0.0f;
+  }
+  w.enforce_mask();
+  conv.set_sparse(true);
+  Tensor x = Tensor::randn(Shape{8, 8, 16, 16}, rng);
+  for (auto _ : state) {
+    Tensor y = conv.forward(x, false);
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  conv.set_sparse(false);
+  sparse::reset();
+  parallel::set_num_threads(0);
+  state.SetLabel("n8 c8->8 k3 16x16 @ 1 thread, density 0.17, csr");
+  report_flops(state, 2.0 * 8 * 8 * (8 * 9) * (16 * 16));
+}
+BENCHMARK(BM_ConvForwardCsr)->UseRealTime();
 
 void BM_ConvBackward(benchmark::State& state) {
   Rng rng(4);

@@ -26,6 +26,14 @@ Tensor kaiming_init(Shape shape, int64_t fan_in, Rng& rng) {
   return Tensor::randn(std::move(shape), rng, stddev);
 }
 
+/// out_c, checked: a conv layer needs at least one output channel.
+int64_t checked_out_c(const std::string& name, int64_t out_c) {
+  if (out_c < 1) {
+    throw std::invalid_argument(name + ": Conv2d needs out_c >= 1, got " + std::to_string(out_c));
+  }
+  return out_c;
+}
+
 /// Grain of the per-sample conv loops: about four chunks per lane, so each
 /// chunk's scratch (zeroed on acquisition) is amortized over several samples
 /// while idle lanes can still steal work. Per-sample partials make results
@@ -72,56 +80,49 @@ int64_t Parameter::active() const {
 Conv2d::Conv2d(std::string name, int64_t in_c, int64_t out_c, int64_t k, int64_t stride,
                int64_t pad, int64_t in_h, int64_t in_w, bool use_bias, Rng& rng)
     : name_(std::move(name)),
-      geom_{in_c, in_h, in_w, k, stride, pad},
-      out_c_(out_c),
+      plan_(ConvGeom{in_c, in_h, in_w, k, stride, pad}, name_),
+      out_c_(checked_out_c(name_, out_c)),
       use_bias_(use_bias),
       weight_(name_ + ".weight", kaiming_init(Shape{out_c, in_c * k * k}, in_c * k * k, rng),
               /*is_prunable=*/true),
       bias_(name_ + ".bias", Tensor::zeros(Shape{out_c}), /*is_prunable=*/false),
       in_stat_(static_cast<size_t>(in_c), 0.0f),
-      out_stat_(static_cast<size_t>(out_c), 0.0f) {}
+      out_stat_(static_cast<size_t>(out_c), 0.0f),
+      zero_masks_(static_cast<size_t>(conv_mask_size(out_c, plan_.g.patch()))) {}
 
 // rp-lint: hot — marks the name-merged `forward` node: every layer forward
 Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   check_4d(x, "Conv2d");
   const int64_t n = x.size(0);
-  const int64_t oh = geom_.out_h(), ow = geom_.out_w();
-  if (x.size(1) != geom_.in_c || x.size(2) != geom_.in_h || x.size(3) != geom_.in_w) {
+  const int64_t oh = plan_.oh, ow = plan_.ow;
+  if (x.size(1) != plan_.g.in_c || x.size(2) != plan_.g.in_h || x.size(3) != plan_.g.in_w) {
     throw std::invalid_argument(name_ + ": input " + x.shape().to_string() +
                                 " does not match configured geometry");
   }
   cached_input_ = x;
   const int64_t oplane = oh * ow;
-  const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
+  const int64_t isz = plan_.g.in_c * plan_.g.in_h * plan_.g.in_w;
   const float* xd = x.data().data();
+  const float* bias = use_bias_ ? bias_.value.data().data() : nullptr;
   Tensor y = Tensor::scratch(Shape{n, out_c_, oh, ow});
   float* yd = y.data().data();
+  if (!sparse_) conv_zero_masks(weight_.value, zero_masks_.data());
 
-  // Samples are independent (each writes its own output plane), so the
-  // patch-build + GEMM loop is parallel over samples. Every lane owns one set
-  // of scratch tensors from its own pool — nested parallel loops run
-  // inline, so a lane never shares these with another forward in flight.
-  // The padded plane is zeroed once per chunk; each sample only rewrites
-  // its interior.
+  // Samples are independent (each writes its own output planes), so the
+  // loop is parallel over samples; the kernels write straight into y. Each
+  // chunk owns one phase-plane scratch from its lane's pool — nested
+  // parallel loops run inline, so a lane never shares it with another
+  // forward in flight. The scratch is zeroed once per chunk; each sample
+  // only rewrites the cells that hold its pixels.
   parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
-    Tensor padded = Tensor::scratch(Shape{geom_.pad > 0 ? geom_.padded_size() : int64_t{0}});
-    Tensor cols = Tensor::scratch(Shape{geom_.patch(), oplane});
-    Tensor y_n = Tensor::scratch(Shape{out_c_, oplane});
+    Tensor planes = Tensor::scratch(Shape{plan_.plane_size()});
     for (int64_t i = i0; i < i1; ++i) {
-      patches_from_padded(padded_sample(xd + i * isz, padded), geom_, cols.data().data());
+      const float* p = plan_.fill(xd + i * isz, planes.data().data());
+      float* yi = yd + i * out_c_ * oplane;
       if (sparse_) {
-        sparse::matmul_into(sparse_w_, cols, y_n);
+        sparse::conv_forward(sparse_w_, zero_masks_.data(), plan_, p, bias, yi);
       } else {
-        gemm(weight_.value, cols, y_n);  // rp-lint: allow(R9) dense path when sparse is off
-      }
-      const float* src = y_n.data().data();
-      float* dst = yd + i * out_c_ * oplane;
-      if (use_bias_) {
-        for (int64_t c = 0; c < out_c_; ++c) {
-          simd::bias_add(dst + c * oplane, src + c * oplane, bias_.value[c], oplane);
-        }
-      } else {
-        std::memcpy(dst, src, static_cast<size_t>(out_c_ * oplane) * sizeof(float));
+        conv_forward(weight_.value, zero_masks_.data(), plan_, p, bias, yi);
       }
     }
   });
@@ -129,13 +130,13 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   if (profiling_) {
     // Max-reduction per channel; each channel is owned by one lane, so the
     // stat update is race-free and (max being exact) order-independent.
-    const int64_t plane = geom_.in_h * geom_.in_w;
+    const int64_t plane = plan_.g.in_h * plan_.g.in_w;
     // rp-lint: allow(R7) per-channel loop: each iteration reduces n planes
-    parallel::parallel_for(0, geom_.in_c, 1, [&](int64_t c0, int64_t c1) {
+    parallel::parallel_for(0, plan_.g.in_c, 1, [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         float m = in_stat_[static_cast<size_t>(c)];
         for (int64_t i = 0; i < n; ++i) {
-          const float* p = xd + (i * geom_.in_c + c) * plane;
+          const float* p = xd + (i * plan_.g.in_c + c) * plane;
           m = std::max(m, simd::reduce_abs_max(p, plane));
         }
         in_stat_[static_cast<size_t>(c)] = m;
@@ -159,11 +160,11 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 // rp-lint: hot — marks the name-merged `backward` node: every layer backward
 Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
-  const int64_t oh = geom_.out_h(), ow = geom_.out_w();
+  const int64_t oh = plan_.g.out_h(), ow = plan_.g.out_w();
   const int64_t oplane = oh * ow;
-  const int64_t patch = geom_.patch();
+  const int64_t patch = plan_.g.patch();
   const int64_t wsize = out_c_ * patch;
-  const int64_t isz = geom_.in_c * geom_.in_h * geom_.in_w;
+  const int64_t isz = plan_.g.in_c * plan_.g.in_h * plan_.g.in_w;
   const float* xd = cached_input_.data().data();
   const float* dyd = dy.data().data();
   Tensor dx = Tensor::scratch(cached_input_.shape());
@@ -186,7 +187,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
   float* dbp = db_partial.data().data();
 
   parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
-    Tensor padded = Tensor::scratch(Shape{geom_.pad > 0 ? geom_.padded_size() : int64_t{0}});
+    Tensor padded = Tensor::scratch(Shape{plan_.g.pad > 0 ? plan_.g.padded_size() : int64_t{0}});
     Tensor dy_n = Tensor::scratch(Shape{out_c_, oplane});
     Tensor cols_t = Tensor::scratch(Shape{oplane, patch});
     Tensor dcols = Tensor::scratch(Shape{patch, oplane});
@@ -194,7 +195,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
     for (int64_t i = i0; i < i1; ++i) {
       std::memcpy(dy_n.data().data(), dyd + i * out_c_ * oplane,
                   static_cast<size_t>(out_c_ * oplane) * sizeof(float));
-      patches_t_from_padded(padded_sample(xd + i * isz, padded), geom_, cols_t.data().data());
+      patches_t_from_padded(padded_sample(xd + i * isz, padded), plan_.g, cols_t.data().data());
       // dW_i = dy_n @ colsᵀ
       // rp-lint: allow(R9) training backward: gradients need the dense weight
       gemm(dy_n, cols_t, dw_n);
@@ -203,7 +204,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
       // dcols = Wᵀ @ dy_n, folded straight into this sample's (zeroed) dx slice
       // rp-lint: allow(R9) training backward: gradients need the dense weight
       gemm(wt, dy_n, dcols);
-      fold_patches_add(dcols.data().data(), geom_, dxd + i * isz);
+      fold_patches_add(dcols.data().data(), plan_.g, dxd + i * isz);
 
       if (use_bias_) {
         const float* d = dy_n.data().data();
@@ -230,8 +231,8 @@ Tensor Conv2d::backward(const Tensor& dy) {
 }
 
 const float* Conv2d::padded_sample(const float* image, Tensor& padded) const {
-  if (geom_.pad == 0) return image;  // the image is its own padded plane
-  pad_image(image, geom_, padded.data().data());
+  if (plan_.g.pad == 0) return image;  // the image is its own padded plane
+  pad_image(image, plan_.g, padded.data().data());
   return padded.data().data();
 }
 
@@ -247,11 +248,11 @@ void Conv2d::collect_prunable(std::vector<PrunableSpec>& out) {
   spec.bias = use_bias_ ? &bias_ : nullptr;
   spec.out_coupled = out_coupled_;
   spec.out_units = out_c_;
-  spec.in_groups = geom_.in_c;
-  spec.group_size = geom_.k * geom_.k;
+  spec.in_groups = plan_.g.in_c;
+  spec.group_size = plan_.g.k * plan_.g.k;
   spec.in_act_stat = &in_stat_;
   spec.out_act_stat = &out_stat_;
-  spec.out_positions = geom_.out_h() * geom_.out_w();
+  spec.out_positions = plan_.g.out_h() * plan_.g.out_w();
   out.push_back(spec);
 }
 
@@ -266,11 +267,14 @@ void Conv2d::set_profiling(bool on) {
 void Conv2d::set_sparse(bool on) {
   sparse_ = on && sparse::mode() != sparse::Mode::kOff;
   sparse_w_ = sparse_ ? sparse::compile(weight_.value) : sparse::SparseWeight{};
+  if (sparse_ && sparse_w_.layout == sparse::Layout::kDense) {
+    conv_zero_masks(sparse_w_.dense, zero_masks_.data());
+  }
 }
 
 int64_t Conv2d::flops() const {
   // Mask-aware MACs: every active weight fires once per output position.
-  return weight_.active() * geom_.out_h() * geom_.out_w();
+  return weight_.active() * plan_.g.out_h() * plan_.g.out_w();
 }
 
 // ----- Linear ----------------------------------------------------------------

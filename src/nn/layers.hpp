@@ -9,13 +9,17 @@
 
 namespace rp::nn {
 
-/// 2-D convolution over [N, C, H, W] batches via patch matrix + GEMM.
+/// 2-D convolution over [N, C, H, W] batches. The forward is an implicit
+/// GEMM over a plan built at construction (tensor/gemm.hpp ConvPlan); the
+/// backward runs patch-matrix GEMMs.
 ///
 /// The weight is stored as a [out_c, in_c*k*k] matrix, which is both the
 /// GEMM operand and the row-per-filter layout structured pruners expect.
 /// Input spatial size is fixed at construction (all networks in this
 /// repository run on fixed-size synthetic images), which lets the layer
 /// pre-compute its geometry and report mask-aware FLOPs without a dry run.
+/// The constructor throws std::invalid_argument naming the layer for a
+/// geometry with no valid output (see ConvPlan) or out_c < 1.
 class Conv2d final : public Module {
  public:
   Conv2d(std::string name, int64_t in_c, int64_t out_c, int64_t k, int64_t stride, int64_t pad,
@@ -30,7 +34,7 @@ class Conv2d final : public Module {
   int64_t flops() const override;
   std::string name() const override { return name_; }
 
-  const ConvGeom& geom() const { return geom_; }
+  const ConvGeom& geom() const { return plan_.g; }
   Parameter& weight() { return weight_; }
   /// Extra per-out-unit parameters (e.g. the following batch norm's affine
   /// terms) that a structured pruner must zero together with a filter.
@@ -42,7 +46,7 @@ class Conv2d final : public Module {
   const float* padded_sample(const float* image, Tensor& padded) const;
 
   std::string name_;
-  ConvGeom geom_;
+  ConvPlan plan_;  ///< geometry + implicit-GEMM offsets, validated at construction
   int64_t out_c_;
   bool use_bias_;
   Parameter weight_;
@@ -56,6 +60,9 @@ class Conv2d final : public Module {
 
   bool sparse_ = false;
   sparse::SparseWeight sparse_w_;  ///< compiled weight while sparse_ is on
+  /// conv_zero_masks of the weight the dense conv kernel runs, sized once at
+  /// construction: rebuilt per training forward, at set_sparse otherwise.
+  std::vector<uint8_t> zero_masks_;
 };
 
 /// Fully connected layer over [N, in] batches: y = x Wᵀ + b.

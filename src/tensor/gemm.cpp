@@ -1,8 +1,10 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/obs.hpp"
@@ -80,6 +82,15 @@ void valid_span(int64_t off, int64_t extent, int64_t stride, int64_t n, int64_t*
   *hi = std::max(*hi, *lo);
 }
 
+// Output channels per task when one sample's conv forward is split across
+// lanes (a batch of one; inside the per-sample loop the split runs inline):
+// about four tasks per lane, in whole blocks of the kernels' four-channel
+// register tiles.
+int64_t channel_grain(int64_t out_c) {
+  const int64_t per = out_c / (4 * static_cast<int64_t>(parallel::num_threads()));
+  return std::max<int64_t>(4, (per + 3) / 4 * 4);
+}
+
 // patches_t_from_padded's body with the kernel size as a template argument
 // where it is known (K > 0), so the k×k receptive-field copy fully unrolls;
 // K == 0 reads the size from the geometry.
@@ -102,6 +113,30 @@ void patches_t_impl(const float* padded, const ConvGeom& g, float* cols_t) {
     }
   }
 }
+
+void check_conv_geometry(const ConvGeom& g, const std::string& who) {
+  const char* bad = nullptr;
+  if (g.in_c < 1) {
+    bad = "in_c must be >= 1";
+  } else if (g.in_h < 1 || g.in_w < 1) {
+    bad = "the input extent must be >= 1";
+  } else if (g.k < 1) {
+    bad = "k must be >= 1";
+  } else if (g.stride < 1) {
+    bad = "stride must be >= 1";
+  } else if (g.pad < 0) {
+    bad = "pad must be >= 0";
+  } else if (g.k > g.padded_h() || g.k > g.padded_w()) {
+    bad = "the kernel is larger than the padded input, so out_h/out_w < 1";
+  }
+  if (bad == nullptr) return;
+  throw std::invalid_argument(who + ": invalid conv geometry (in_c " + std::to_string(g.in_c) +
+                              ", " + std::to_string(g.in_h) + "x" + std::to_string(g.in_w) +
+                              ", k " + std::to_string(g.k) + ", stride " +
+                              std::to_string(g.stride) + ", pad " + std::to_string(g.pad) +
+                              "): " + bad);
+}
+
 
 }  // namespace
 
@@ -186,25 +221,92 @@ void pad_image(const float* image, const ConvGeom& g, float* padded) {
   }
 }
 
-void patches_from_padded(const float* padded, const ConvGeom& g, float* cols) {
-  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pw = g.padded_w();
-  float* out = cols;
+ConvPlan::ConvPlan(const ConvGeom& geom, const std::string& who) : g(geom) {
+  check_conv_geometry(g, who);
+  const int64_t s = g.stride;
+  oh = g.out_h();
+  ow = g.out_w();
+  ph_h = oh + (g.k - 1) / s;
+  ph_w = ow + (g.k - 1) / s;
+  // The patch rows read phases (a, b) with a, b < min(k, s), numbered
+  // a * min(k, s) + b.
+  const int64_t m = std::min(g.k, s);
+  phases = (s == 1 && g.pad == 0) ? 0 : m * m;  // pad 0 at stride 1: read the image in place
+  if (m * m * g.in_c * ph_h * ph_w > INT32_MAX) {
+    throw std::invalid_argument(who + ": conv input too large for 32-bit plane offsets");
+  }
+  off.reserve(static_cast<size_t>(g.patch()));
   for (int64_t c = 0; c < g.in_c; ++c) {
-    const float* plane = padded + c * g.padded_h() * pw;
     for (int64_t ki = 0; ki < g.k; ++ki) {
       for (int64_t kj = 0; kj < g.k; ++kj) {
-        for (int64_t y = 0; y < oh; ++y, out += ow) {
-          // Rows are a few dozen floats: an inline loop beats a memcpy call.
-          const float* __restrict src = plane + (y * s + ki) * pw + kj;
-          float* __restrict dst = out;
-          if (s == 1) {
-            for (int64_t x = 0; x < ow; ++x) dst[x] = src[x];
-          } else {
-            for (int64_t x = 0; x < ow; ++x) dst[x] = src[x * s];
-          }
+        const int64_t slot = (ki % s) * m + kj % s;
+        off.push_back(
+            static_cast<int32_t>(((slot * g.in_c + c) * ph_h + ki / s) * ph_w + kj / s));
+      }
+    }
+  }
+}
+
+const float* ConvPlan::fill(const float* image, float* planes) const {
+  if (phases == 0) return image;
+  const int64_t s = g.stride;
+  if (s == 1) {
+    pad_image(image, g, planes);  // the one phase is the padded plane
+    return planes;
+  }
+  const int64_t cplane = ph_h * ph_w;
+  const int64_t m = std::min(g.k, s);
+  for (int64_t a = 0; a < m; ++a) {
+    int64_t i0 = 0, i1 = 0;
+    valid_span(a - g.pad, g.in_h, s, ph_h, &i0, &i1);
+    for (int64_t b = 0; b < m; ++b) {
+      const int64_t slot = a * m + b;
+      int64_t j0 = 0, j1 = 0;
+      valid_span(b - g.pad, g.in_w, s, ph_w, &j0, &j1);
+      for (int64_t c = 0; c < g.in_c; ++c) {
+        const float* src = image + c * g.in_h * g.in_w;
+        float* dst = planes + (slot * g.in_c + c) * cplane;
+        for (int64_t i = i0; i < i1; ++i) {
+          const float* __restrict sr = src + (i * s + a - g.pad) * g.in_w + (j0 * s + b - g.pad);
+          float* __restrict dr = dst + i * ph_w;
+          for (int64_t j = j0; j < j1; ++j, sr += s) dr[j] = *sr;
         }
       }
     }
+  }
+  return planes;
+}
+
+simd::ConvArgs ConvPlan::args(const float* planes, const float* bias, float* y) const {
+  return simd::ConvArgs{planes, off.data(), static_cast<int64_t>(off.size()), oh, ow, ld(), bias, y};
+}
+
+void conv_zero_masks(const Tensor& w, uint8_t* nz) {
+  const int64_t out_c = w.size(0), patch = w.size(1);
+  const float* wd = w.data().data();
+  std::memset(nz, 0, static_cast<size_t>(conv_mask_size(out_c, patch)));
+  for (int64_t o = 0; o < out_c; ++o) {
+    uint8_t* row = nz + (o / 4) * patch;
+    const auto bit = static_cast<uint8_t>(1u << (o % 4));
+    for (int64_t r = 0; r < patch; ++r) {
+      if (wd[o * patch + r] != 0.0f) row[r] |= bit;
+    }
+  }
+}
+
+// rp-lint: hot
+void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, const float* planes,
+                  const float* bias, float* y) {
+  obs::count(obs::Counter::kGemmCalls);
+  const simd::ConvArgs a = plan.args(planes, bias, y);
+  const int64_t out_c = w.size(0);
+  const float* wd = w.data().data();
+  const auto kernel = simd::kernels().conv_dense;
+  auto channels = [&](int64_t o0, int64_t o1) { kernel(a, wd, nz, o0, o1); };
+  if (2 * out_c * a.patch * a.oh * a.ow >= kParallelMinMacs) {
+    parallel::parallel_for(0, out_c, channel_grain(out_c), channels);
+  } else {
+    channels(0, out_c);
   }
 }
 
@@ -249,37 +351,6 @@ void fold_patches_add(const float* cols, const ConvGeom& g, float* image) {
       }
     }
   }
-}
-
-void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols) {
-  if (image.ndim() != 3 || image.size(0) != g.in_c || image.size(1) != g.in_h ||
-      image.size(2) != g.in_w) {
-    throw std::invalid_argument("im2col: image shape " + image.shape().to_string() +
-                                " does not match geometry");
-  }
-  if (cols.shape() != Shape{g.patch(), g.out_h() * g.out_w()}) {
-    cols = Tensor::scratch(Shape{g.patch(), g.out_h() * g.out_w()});
-  }
-  if (g.pad == 0) {
-    patches_from_padded(image.data().data(), g, cols.data().data());
-    return;
-  }
-  Tensor padded = Tensor::scratch(Shape{g.padded_size()});
-  pad_image(image.data().data(), g, padded.data().data());
-  patches_from_padded(padded.data().data(), g, cols.data().data());
-}
-
-void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image) {
-  if (cols.shape() != Shape{g.patch(), g.out_h() * g.out_w()}) {
-    throw std::invalid_argument("col2im: cols shape " + cols.shape().to_string() +
-                                " does not match geometry");
-  }
-  if (image.shape() != Shape{g.in_c, g.in_h, g.in_w}) {
-    image = Tensor::scratch(Shape{g.in_c, g.in_h, g.in_w});
-  } else {
-    image.zero();
-  }
-  fold_patches_add(cols.data().data(), g, image.data().data());
 }
 
 }  // namespace rp

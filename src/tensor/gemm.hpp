@@ -1,7 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
+#include "tensor/simd.hpp"
 #include "tensor/tensor.hpp"
 
 namespace rp {
@@ -26,8 +29,9 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false, bool trans
 /// lines; values are copied, never combined, so any tiling is exact.
 void transpose(const float* src, int64_t rows, int64_t cols, float* dst);
 
-/// Geometry of a 2-D convolution; shared by the patch builders, conv layers,
-/// and the FLOP model so the three can never disagree.
+/// Geometry of a 2-D convolution; shared by the conv plan, the backward's
+/// patch builders, conv layers, and the FLOP model so they can never
+/// disagree.
 struct ConvGeom {
   int64_t in_c = 0, in_h = 0, in_w = 0;
   int64_t k = 3;       ///< square kernel size
@@ -36,7 +40,7 @@ struct ConvGeom {
 
   int64_t out_h() const { return (in_h + 2 * pad - k) / stride + 1; }
   int64_t out_w() const { return (in_w + 2 * pad - k) / stride + 1; }
-  /// Rows of the im2col patch matrix = in_c * k * k.
+  /// Rows of the patch matrix = in_c * k * k, ordered (c, ki, kj).
   int64_t patch() const { return in_c * k * k; }
   /// Extents of one channel of the zero-padded plane the patch builders read.
   int64_t padded_h() const { return in_h + 2 * pad; }
@@ -45,35 +49,83 @@ struct ConvGeom {
   int64_t padded_size() const { return in_c * padded_h() * padded_w(); }
 };
 
-// Conv data movement, raw-pointer form for the layer hot loops. The patch
-// builders read a zero-padded plane, so no element needs a bounds test; for
-// pad == 0 the padded plane *is* the image and can be read in place.
+/// Implicit-GEMM plan of one conv geometry, built once per layer: the
+/// forward computes every output straight from a copy of the sample's
+/// zero-padded plane, with no patch matrix.
+///
+/// The copy is split by stride phase: phase (a, b) holds padded rows a, a+s,
+/// … and padded columns b, b+s, … of every channel, as a [in_c, ph_h, ph_w]
+/// block. Patch row (c, ki, kj) then reads output (y, x) at
+/// `off[row] + y * ld() + x` of the phase (ki mod s, kj mod s), so each of
+/// its output rows is one contiguous run at any stride. Only the phases some
+/// patch row reads are built: a 1×1 stride-2 shortcut reads phase (0, 0)
+/// only. At stride 1 the single phase is the padded plane itself, and with
+/// pad 0 as well the image is read in place.
+///
+/// Construction throws std::invalid_argument, prefixed with `who`, for a
+/// geometry with no valid output: k, stride, channels or extents < 1,
+/// pad < 0, or a kernel larger than the padded plane.
+struct ConvPlan {
+  ConvPlan(const ConvGeom& geom, const std::string& who);
+
+  ConvGeom g;
+  int64_t oh = 0, ow = 0;      ///< g.out_h(), g.out_w(), computed once
+  int64_t ph_h = 0, ph_w = 0;  ///< extent of one channel of one phase
+  int64_t phases = 0;          ///< phases built (0 when read in place)
+  std::vector<int32_t> off;    ///< [patch] offset of output (0, 0) of each patch row
+
+  /// Plane stride between consecutive output rows.
+  int64_t ld() const { return ph_w; }
+  /// Floats of phase-plane scratch one sample needs (0 when read in place).
+  int64_t plane_size() const { return phases * g.in_c * ph_h * ph_w; }
+  /// The sample's phase planes: `image` itself when read in place, else
+  /// `planes` (plane_size() floats) with the image's pixels copied in. Cells
+  /// that map to padding are never written, so scratch that starts zeroed
+  /// stays valid for every image copied into it.
+  const float* fill(const float* image, float* planes) const;
+  /// Kernel arguments for one sample: `planes` from fill(), `bias` [out_c]
+  /// or nullptr, output `y` [out_c, out_h*out_w].
+  simd::ConvArgs args(const float* planes, const float* bias, float* y) const;
+};
+
+/// Bytes of zero masks conv_zero_masks writes for an [out_c, patch] weight.
+inline int64_t conv_mask_size(int64_t out_c, int64_t patch) { return (out_c + 3) / 4 * patch; }
+
+/// Zero masks of a dense conv weight w [out_c, patch], for the dense conv
+/// kernel: byte (o / 4) * patch + r has bit o % 4 set when w[o, r] != 0.0f.
+/// They change whenever w does, so a training forward rebuilds them per call
+/// (out_c * patch tests, against out_c * patch * out_h * out_w MACs).
+void conv_zero_masks(const Tensor& w, uint8_t* nz);
+
+/// Implicit-GEMM conv forward of one sample with a dense weight
+/// [out_c, patch] and its zero masks: y[o, p] = Σ_row w[o, row] ·
+/// patch(row, p) (+ bias[o] when `bias` is non-null) for `planes` from
+/// ConvPlan::fill, written to y [out_c, out_h·out_w]. Per output element
+/// this is the fma chain `gemm` runs on the explicit patch matrix — rows in
+/// ascending order, zero weights skipped — so results are bit-identical to
+/// it, for any RP_THREADS. Counts one gemm.calls.
+void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, const float* planes,
+                  const float* bias, float* y);
+
+// Conv data movement of the backward, raw-pointer form for the layer hot
+// loops. The builders read a zero-padded plane, so no element needs a
+// bounds test; for pad == 0 the padded plane *is* the image and can be read
+// in place.
 
 /// Copies one image [in_c, in_h, in_w] into the interior of a padded plane
 /// [in_c, padded_h, padded_w]. The border is never written: a plane that
 /// starts zeroed stays a valid padded plane for every image copied into it.
 void pad_image(const float* image, const ConvGeom& g, float* padded);
 
-/// Patch matrix [patch, out_h*out_w] (row = (c, ki, kj), column = output
-/// position) from a padded plane: the B operand of the forward GEMM.
-void patches_from_padded(const float* padded, const ConvGeom& g, float* cols);
-
-/// The same patch matrix transposed, [out_h*out_w, patch], built directly:
-/// the B operand of the weight-gradient GEMM dW = dY @ colsᵀ.
+/// The patch matrix transposed, [out_h*out_w, patch] (row = output position,
+/// column = (c, ki, kj)), from a padded plane: the B operand of the
+/// weight-gradient GEMM dW = dY @ colsᵀ.
 void patches_t_from_padded(const float* padded, const ConvGeom& g, float* cols_t);
 
 /// Adds the fold of a patch-matrix gradient [patch, out_h*out_w] into an
 /// image gradient [in_c, in_h, in_w]. Each pixel receives its contributions
 /// in patch-row order, so folding into a zeroed image is bit-identical to
-/// col2im.
+/// the textbook col2im.
 void fold_patches_add(const float* cols, const ConvGeom& g, float* image);
-
-/// Unfolds one image [C, H, W] into a patch matrix [C*k*k, out_h*out_w]
-/// (zero padding), so convolution becomes a single GEMM.
-void im2col(const Tensor& image, const ConvGeom& g, Tensor& cols);
-
-/// Transpose of im2col: folds gradient columns [C*k*k, out_h*out_w] back into
-/// an image gradient [C, H, W], accumulating overlapping patches.
-void col2im(const Tensor& cols, const ConvGeom& g, Tensor& image);
 
 }  // namespace rp

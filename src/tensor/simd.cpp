@@ -51,6 +51,72 @@ void s_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* val
   }
 }
 
+void fma_row(float w, const float* __restrict src, float* __restrict dst, int64_t n) {
+  for (int64_t x = 0; x < n; ++x) dst[x] = std::fma(w, src[x], dst[x]);
+}
+
+// Floats of the stack buffer a scalar conv pass accumulates in.
+constexpr int64_t kConvBuf = 2048;
+
+// One output channel of the scalar conv kernels. chain(step) calls
+// step(w, r) for each term of the channel's chain in order; step runs that
+// term for every output position of the current pass. A pass accumulates a
+// group of output rows in a buffer with the plane's row stride, so each
+// term is one contiguous fma run over the whole pass; the columns past ow it
+// also computes are read from inside the plane and dropped. Rows too wide
+// for the buffer are taken one row and kConvBuf columns at a time.
+template <typename Chain>
+void scalar_conv_channel(const ConvArgs& a, int64_t o, Chain&& chain) {
+  float* yo = a.y + o * a.oh * a.ow;
+  const int64_t rows = std::max<int64_t>(1, kConvBuf / a.ld);
+  const int64_t cols = std::min(a.ow, kConvBuf);
+  float buf[kConvBuf];
+  for (int64_t y0 = 0; y0 < a.oh; y0 += rows) {
+    const int64_t y1 = std::min(a.oh, y0 + rows);
+    for (int64_t x0 = 0; x0 < a.ow; x0 += cols) {
+      const int64_t x1 = std::min(a.ow, x0 + cols);
+      const int64_t len = (y1 - y0 - 1) * a.ld + (x1 - x0);
+      std::fill(buf, buf + len, 0.0f);
+      const float* at = a.plane + y0 * a.ld + x0;
+      chain([&](float w, int64_t r) { fma_row(w, at + a.off[r], buf, len); });
+      for (int64_t y = y0; y < y1; ++y) {
+        const float* src = buf + (y - y0) * a.ld;
+        float* dst = yo + y * a.ow + x0;
+        for (int64_t x = 0; x < x1 - x0; ++x) {
+          dst[x] = a.bias != nullptr ? src[x] + a.bias[o] : src[x];
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+void scalar_conv_dense(const ConvArgs& a, const float* w, const uint8_t* /*nz*/, int64_t o0,
+                       int64_t o1) {
+  for (int64_t o = o0; o < o1; ++o) {
+    const float* wo = w + o * a.patch;
+    scalar_conv_channel(a, o, [&](auto&& step) {
+      for (int64_t r = 0; r < a.patch; ++r) {
+        if (wo[r] != 0.0f) step(wo[r], r);  // the dense zero skip
+      }
+    });
+  }
+}
+
+void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
+                     const float* values, int64_t o0, int64_t o1) {
+  for (int64_t o = o0; o < o1; ++o) {
+    scalar_conv_channel(a, o, [&](auto&& step) {
+      for (int32_t t = row_ptr[o]; t < row_ptr[o + 1]; ++t) {
+        if (values[t] != 0.0f) step(values[t], col_idx[t]);  // a stored 0.0f stays a no-op
+      }
+    });
+  }
+}
+
+namespace {
+
 void s_relu(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::max(x[i], 0.0f);
 }
@@ -113,7 +179,7 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kScalarKernels{
-    s_gemm_panel, s_csr_gemm,
+    s_gemm_panel, s_csr_gemm,   scalar_conv_dense, scalar_conv_csr,
     s_relu,       s_relu_grad,  s_add,        s_mul,
     s_add_scalar, s_scale, s_div_scalar, s_bias_add,   s_clamp,
     s_reduce_max, s_reduce_abs_max,      s_sgd_step,

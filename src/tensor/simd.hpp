@@ -23,6 +23,18 @@ namespace rp::simd {
 
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
+// One sample of an implicit-GEMM conv forward (tensor/gemm.hpp ConvPlan).
+// Patch row r reads output position (y, x) at plane[off[r] + y * ld + x].
+struct ConvArgs {
+  const float* plane;   // the sample's phase planes
+  const int32_t* off;   // [patch] plane offset of output (0, 0) per patch row
+  int64_t patch;        // patch rows = weight columns
+  int64_t oh, ow;       // output extent
+  int64_t ld;           // plane stride between output rows
+  const float* bias;    // [out_c] added after the chain, or nullptr for none
+  float* y;             // [out_c, oh * ow] output, overwritten
+};
+
 // Kernel function-pointer table. One instance per compiled-in ISA; all
 // entries are non-null in every table (an ISA that has no custom version of
 // an op points at the scalar one).
@@ -46,6 +58,22 @@ struct Kernels {
   void (*csr_gemm)(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
                    const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
                    int64_t n);
+
+  // Implicit-GEMM conv forward over output channels [o0, o1) of one sample:
+  //   y[o, y·ow + x] = Σ_r w[o, r] · plane[off[r] + y·ld + x]  (+ bias[o])
+  // as the exact fma chain gemm_panel runs on the explicit patch matrix:
+  // patch rows r ascending, every multiply-add single-rounded from a +0
+  // start, weights equal to 0.0f skipped (so a NaN/Inf input under a zero
+  // weight never reaches the output), then one add of bias[o] when bias is
+  // non-null. conv_dense reads a dense row-major w [out_c, patch] plus its
+  // zero masks nz (tensor/gemm.hpp conv_zero_masks), which it may use in
+  // place of testing w; conv_csr walks row o's stored entries in ascending
+  // column order, like csr_gemm. Neither reads the plane outside the rows
+  // and columns the outputs cover.
+  void (*conv_dense)(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
+                     int64_t o1);
+  void (*conv_csr)(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
+                   const float* values, int64_t o0, int64_t o1);
 
   void (*relu)(float* x, int64_t n);                                // x = max(x, 0)
   void (*relu_grad)(const float* x, float* d, int64_t n);           // d = x<=0 ? 0 : d
@@ -85,6 +113,12 @@ void reset();
 
 // Human-readable name of an ISA ("scalar", "avx2", "neon").
 const char* isa_name(Isa isa);
+
+// Scalar conv kernels, for ISA tables that have no version of their own.
+void scalar_conv_dense(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
+                       int64_t o1);
+void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
+                     const float* values, int64_t o0, int64_t o1);
 
 // Per-ISA tables; getters return nullptr when the ISA wasn't compiled in.
 // (Internal wiring for simd.cpp, exposed for the dispatch unit test.)

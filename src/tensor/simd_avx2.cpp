@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
+#include <utility>
 
 namespace rp::simd {
 
@@ -200,6 +202,266 @@ void a_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* val
   }
 }
 
+// -- implicit-GEMM conv kernels -------------------------------------------
+//
+// Same contract as the scalar conv kernels: each output keeps its chain over
+// the patch rows (dense) or stored entries (CSR) in ascending order, one
+// fused vfmadd per term, zero weights skipped, then one add of the bias.
+// Lanes run across output positions only. The positions are covered by
+// 8-lane slots of three kinds, so no load or store touches memory outside
+// the plane rows and output rows the outputs cover:
+//   kFull  8 consecutive columns of one output row;
+//   kPair  the 4 columns of two consecutive rows of a 4-wide output (one
+//          128-bit load per row, 8 consecutive outputs);
+//   kMask  the first `len` < 8 columns left in a row, through a lane mask.
+// A tile is up to NV slots of one kind; the dense kernel also blocks four
+// output channels, so every plane vector it loads feeds four chains.
+
+enum class Slot { kFull, kPair, kMask };
+
+struct Pos {
+  int64_t src;  // plane offset relative to a patch row's output (0, 0)
+  int64_t dst;  // output offset within one channel
+};
+
+template <Slot S>
+inline __m256 load_slot(const float* p, int64_t ld, __m256i mask) {
+  if constexpr (S == Slot::kFull) {
+    return _mm256_loadu_ps(p);
+  } else if constexpr (S == Slot::kPair) {
+    return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(p)), _mm_loadu_ps(p + ld), 1);
+  } else {
+    return _mm256_maskload_ps(p, mask);
+  }
+}
+
+template <Slot S>
+inline void store_slot(float* p, __m256 v, __m256i mask) {
+  if constexpr (S == Slot::kMask) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+// Calls tile(kind, pos, count, mask) over groups of at most NV slots of one
+// kind that together cover every output position exactly once.
+template <int NV, typename F>
+void for_tiles(const ConvArgs& a, F&& tile) {
+  Pos buf[NV];
+  int count = 0;
+  auto flush = [&](Slot kind, __m256i mask) {
+    if (count > 0) tile(kind, static_cast<const Pos*>(buf), count, mask);
+    count = 0;
+  };
+  auto push = [&](Slot kind, __m256i mask, Pos p) {
+    buf[count++] = p;
+    if (count == NV) flush(kind, mask);
+  };
+  const __m256i all = _mm256_set1_epi32(-1);
+  // Where the plane rows are as long as the output rows (k = 1) both are
+  // contiguous across rows, and the whole output is covered as one row.
+  const bool flat = a.ld == a.ow;
+  const int64_t oh = flat ? 1 : a.oh, ow = flat ? a.oh * a.ow : a.ow;
+  int64_t y0 = 0;  // first row left for the kFull / kMask slots
+  if (ow == 4) {
+    for (; y0 + 2 <= oh; y0 += 2) push(Slot::kPair, all, Pos{y0 * a.ld, y0 * 4});
+    flush(Slot::kPair, all);
+  }
+  const int64_t full = ow / 8 * 8;
+  for (int64_t y = y0; y < oh; ++y) {
+    for (int64_t x = 0; x < full; x += 8) push(Slot::kFull, all, Pos{y * a.ld + x, y * ow + x});
+  }
+  flush(Slot::kFull, all);
+  if (full < ow) {
+    const __m256i mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(ow - full)),
+                                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    for (int64_t y = y0; y < oh; ++y) push(Slot::kMask, mask, Pos{y * a.ld + full, y * ow + full});
+    flush(Slot::kMask, mask);
+  }
+}
+
+// Output channel o's plane and its bias, read once per tile: the stores
+// below would otherwise reload them from `a` for every slot.
+struct Out {
+  float* y;
+  bool has_bias;
+  __m256 bias;
+
+  Out(const ConvArgs& a, int64_t o)
+      : y(a.y + o * a.oh * a.ow),
+        has_bias(a.bias != nullptr),
+        bias(has_bias ? _mm256_set1_ps(a.bias[o]) : _mm256_setzero_ps()) {}
+
+  // Stores one accumulator at output offset dst, adding the bias first when
+  // there is one. Takes the vector by value: an accumulator whose address is
+  // taken would be kept in memory instead of a register.
+  template <Slot S>
+  void store(int64_t dst, __m256 v, __m256i mask) const {
+    store_slot<S>(y + dst, has_bias ? _mm256_add_ps(v, bias) : v, mask);
+  }
+};
+
+// Calls f(std::integral_constant<int, i>{}) for i = 0 … N-1. The tile loops
+// over channels and slots go through this, so every accumulator index is a
+// constant before optimization starts and the accumulators stay in
+// registers (runtime-indexed arrays of vectors are kept in memory).
+template <int N, typename F>
+__attribute__((always_inline)) inline void unroll(F&& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) __attribute__((always_inline)) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+// Dense tile: OB output channels from o × NV slots. nz holds one byte of
+// nonzero bits per (four-channel block, patch row), see conv_zero_masks: a
+// row whose OB weights are all nonzero runs its fmas with no test per
+// channel, an all-zero row is skipped without loading the plane, and a
+// mixed row tests each channel's bit.
+template <int OB, int NV, Slot S>
+void dense_tile(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o, const Pos* pos,
+                __m256i mask) {
+  constexpr unsigned kAll = (1u << OB) - 1;
+  const float* plane = a.plane;
+  const int32_t* off = a.off;
+  const int64_t patch = a.patch, ld = a.ld;
+  int64_t src[NV];
+  unroll<NV>([&](auto j) __attribute__((always_inline)) { src[j] = pos[j].src; });
+  const float* wo = w + o * patch;
+  const uint8_t* nzo = nz + (o / 4) * patch;
+  const unsigned shift = static_cast<unsigned>(o % 4);
+  __m256 acc[OB][NV];
+  unroll<OB>([&](auto c) __attribute__((always_inline)) {
+    unroll<NV>([&](auto j) __attribute__((always_inline)) { acc[c][j] = _mm256_setzero_ps(); });
+  });
+  for (int64_t r = 0; r < patch; ++r) {
+    const unsigned m = (static_cast<unsigned>(nzo[r]) >> shift) & kAll;
+    if (m == 0) continue;
+    const float* base = plane + off[r];
+    __m256 xv[NV];
+    unroll<NV>([&](auto j) __attribute__((always_inline)) {
+      xv[j] = load_slot<S>(base + src[j], ld, mask);
+    });
+    unroll<OB>([&](auto c) __attribute__((always_inline)) {
+      if (m != kAll && (m & (1u << c)) == 0) return;
+      const __m256 vw = _mm256_broadcast_ss(wo + c * patch + r);
+      unroll<NV>([&](auto j) __attribute__((always_inline)) {
+        acc[c][j] = _mm256_fmadd_ps(vw, xv[j], acc[c][j]);
+      });
+    });
+  }
+  unroll<OB>([&](auto c) __attribute__((always_inline)) {
+    const Out out(a, o + c);
+    unroll<NV>([&](auto j) __attribute__((always_inline)) {
+      out.store<S>(pos[j].dst, acc[c][j], mask);
+    });
+  });
+}
+
+// CSR tile: one output channel × NV slots.
+template <int NV, Slot S>
+void csr_tile(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
+              const float* values, int64_t o, const Pos* pos, __m256i mask) {
+  const float* plane = a.plane;
+  const int32_t* off = a.off;
+  const int64_t ld = a.ld;
+  int64_t src[NV];
+  unroll<NV>([&](auto j) __attribute__((always_inline)) { src[j] = pos[j].src; });
+  __m256 acc[NV];
+  unroll<NV>([&](auto j) __attribute__((always_inline)) { acc[j] = _mm256_setzero_ps(); });
+  const int32_t t1 = row_ptr[o + 1];
+  for (int32_t t = row_ptr[o]; t < t1; ++t) {
+    if (values[t] == 0.0f) [[unlikely]] {
+      continue;
+    }
+    const __m256 vw = _mm256_broadcast_ss(values + t);
+    const float* base = plane + off[col_idx[t]];
+    unroll<NV>([&](auto j) __attribute__((always_inline)) {
+      acc[j] = _mm256_fmadd_ps(vw, load_slot<S>(base + src[j], ld, mask), acc[j]);
+    });
+  }
+  const Out out(a, o);
+  unroll<NV>([&](auto j) __attribute__((always_inline)) { out.store<S>(pos[j].dst, acc[j], mask); });
+}
+
+// Instantiates body.template run<N, S>() for a runtime slot count and kind.
+template <int N, typename B>
+void by_kind(Slot kind, const B& body) {
+  switch (kind) {
+    case Slot::kFull:
+      body.template run<N, Slot::kFull>();
+      break;
+    case Slot::kPair:
+      body.template run<N, Slot::kPair>();
+      break;
+    case Slot::kMask:
+      body.template run<N, Slot::kMask>();
+      break;
+  }
+}
+
+template <int N, typename B>
+void by_count(int count, Slot kind, const B& body) {
+  if constexpr (N > 1) {
+    if (count < N) {
+      by_count<N - 1>(count, kind, body);
+      return;
+    }
+  }
+  by_kind<N>(kind, body);
+}
+
+constexpr int kDenseSlots = 3;  // 4 channels × 3 slots: 12 accumulators
+constexpr int kCsrSlots = 8;    // 1 channel × 8 slots: 8 accumulators
+
+// Runs one tile over output channels [o0, o1): blocks of four, then one at a
+// time. by_count instantiates run<N, S> for the tile's slot count and kind.
+struct DenseTiles {
+  const ConvArgs& a;
+  const float* w;
+  const uint8_t* nz;
+  int64_t o0, o1;
+  const Pos* pos;
+  __m256i mask;
+  template <int N, Slot S>
+  void run() const {
+    // Single channels up to a four-channel boundary, so every block lines
+    // up with one byte of nz; then blocks; then the tail.
+    int64_t o = o0;
+    for (; o < o1 && o % 4 != 0; ++o) dense_tile<1, N, S>(a, w, nz, o, pos, mask);
+    for (; o + 4 <= o1; o += 4) dense_tile<4, N, S>(a, w, nz, o, pos, mask);
+    for (; o < o1; ++o) dense_tile<1, N, S>(a, w, nz, o, pos, mask);
+  }
+};
+
+struct CsrTiles {
+  const ConvArgs& a;
+  const int32_t* row_ptr;
+  const int32_t* col_idx;
+  const float* values;
+  int64_t o0, o1;
+  const Pos* pos;
+  __m256i mask;
+  template <int N, Slot S>
+  void run() const {
+    for (int64_t o = o0; o < o1; ++o) csr_tile<N, S>(a, row_ptr, col_idx, values, o, pos, mask);
+  }
+};
+
+void a_conv_dense(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
+                  int64_t o1) {
+  for_tiles<kDenseSlots>(a, [&](Slot kind, const Pos* pos, int count, __m256i mask) {
+    by_count<kDenseSlots>(count, kind, DenseTiles{a, w, nz, o0, o1, pos, mask});
+  });
+}
+
+void a_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
+                const float* values, int64_t o0, int64_t o1) {
+  for_tiles<kCsrSlots>(a, [&](Slot kind, const Pos* pos, int count, __m256i mask) {
+    by_count<kCsrSlots>(count, kind, CsrTiles{a, row_ptr, col_idx, values, o0, o1, pos, mask});
+  });
+}
+
 // -- elementwise / reduction kernels ----------------------------------------
 
 // max_ps(0, v) matches std::max(v, 0.0f) exactly: MAXPS returns the second
@@ -354,7 +616,7 @@ void a_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kAvx2Kernels{
-    a_gemm_panel, a_csr_gemm,
+    a_gemm_panel, a_csr_gemm,   a_conv_dense, a_conv_csr,
     a_relu,       a_relu_grad,  a_add,      a_mul,
     a_add_scalar, a_scale, a_div_scalar, a_bias_add, a_clamp,
     a_reduce_max, a_reduce_abs_max,      a_sgd_step,

@@ -262,7 +262,7 @@ void n_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kNeonKernels{
-    n_gemm_panel, n_csr_gemm,
+    n_gemm_panel, n_csr_gemm,   scalar_conv_dense, scalar_conv_csr,
     n_relu,       n_relu_grad,  n_add,      n_mul,
     n_add_scalar, n_scale, n_div_scalar, n_bias_add, n_clamp,
     n_reduce_max, n_reduce_abs_max,      n_sgd_step,

@@ -252,4 +252,24 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   transpose(tl_yt_buf.data(), w.rows, n, y.data().data());
 }
 
+// rp-lint: hot
+void conv_forward(const SparseWeight& w, const uint8_t* nz, const ConvPlan& plan,
+                  const float* planes, const float* bias, float* y) {
+  if (w.layout == Layout::kDense) {
+    rp::conv_forward(w.dense, nz, plan, planes, bias, y);
+    return;
+  }
+  obs::count(obs::Counter::kGemmSparseCalls);
+  const simd::ConvArgs a = plan.args(planes, bias, y);
+  const auto kernel = simd::kernels().conv_csr;
+  auto channels = [&](int64_t o0, int64_t o1) {
+    kernel(a, w.row_ptr.data(), w.col_idx.data(), w.values.data(), o0, o1);
+  };
+  if (2 * w.nnz * a.oh * a.ow >= kParallelMinMacs) {
+    parallel::parallel_for(0, w.rows, row_grain(w.rows), channels);
+  } else {
+    channels(0, w.rows);
+  }
+}
+
 }  // namespace rp::sparse

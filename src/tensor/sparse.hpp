@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "tensor/gemm.hpp"
 #include "tensor/tensor.hpp"
 
 // Compile-to-sparse execution engine: turns a pruned layer's measured zero
@@ -115,5 +116,14 @@ void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c);
 /// fma(b, a, c) bit-exactly, so this equals the dense
 /// gemm(x, w, y, /*trans_a=*/false, /*trans_b=*/true) reference.
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
+
+/// Implicit-GEMM conv forward of one sample (tensor/gemm.hpp ConvPlan) for
+/// a compiled [out_c, patch] weight: a dense layout runs rp::conv_forward
+/// with `nz`, the conv_zero_masks of w.dense (counting gemm.calls); a CSR
+/// layout runs the CSR conv kernel and ignores `nz` (counting
+/// gemm.sparse_calls). Both are bit-identical to the dense patch-matrix
+/// GEMM, for any RP_THREADS.
+void conv_forward(const SparseWeight& w, const uint8_t* nz, const ConvPlan& plan,
+                  const float* planes, const float* bias, float* y);
 
 }  // namespace rp::sparse

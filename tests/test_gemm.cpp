@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -164,24 +166,58 @@ TEST(Gemm, EmptyShapesKeepBetaSemantics) {
   EXPECT_NO_THROW(gemm(a0, b0, c0));
 }
 
-// ----- im2col / col2im ----------------------------------------------------------
+// ----- conv plan ------------------------------------------------------------------
+//
+// The forward's ConvPlan replaces the im2col patch matrix: patch row r reads
+// output p = (y, x) at planes[off[r] + y*ld + x]. These suites keep the
+// hand-computed im2col expectations and check them through that address.
+
+/// Bounds-tested im2col element: patch row (c, ki, kj), output position p.
+float im2col_at(const float* image, const ConvGeom& g, int64_t row, int64_t p) {
+  const int64_t c = row / (g.k * g.k), ki = row / g.k % g.k, kj = row % g.k;
+  const int64_t sy = p / g.out_w() * g.stride + ki - g.pad;
+  const int64_t sx = p % g.out_w() * g.stride + kj - g.pad;
+  const bool inside = sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w;
+  return inside ? image[(c * g.in_h + sy) * g.in_w + sx] : 0.0f;
+}
+
+/// Element (row, p) of the patch matrix as the plan addresses it.
+float plan_at(const ConvPlan& plan, const float* planes, int64_t row, int64_t p) {
+  const int64_t ow = plan.g.out_w();
+  return planes[plan.off[static_cast<size_t>(row)] + p / ow * plan.ld() + p % ow];
+}
+
+/// The patch matrix [patch, out_h*out_w] read through the plan.
+Tensor plan_patches(const ConvPlan& plan, const Tensor& image) {
+  std::vector<float> scratch(static_cast<size_t>(plan.plane_size()), 0.0f);
+  const float* planes = plan.fill(image.data().data(), scratch.data());
+  const int64_t oplane = plan.g.out_h() * plan.g.out_w();
+  Tensor cols(Shape{plan.g.patch(), oplane});
+  for (int64_t r = 0; r < plan.g.patch(); ++r) {
+    for (int64_t p = 0; p < oplane; ++p) cols.at(r, p) = plan_at(plan, planes, r, p);
+  }
+  return cols;
+}
 
 TEST(Im2col, IdentityKernelGeometry) {
-  // 1x1 kernel, stride 1, no padding: cols == flattened image.
+  // 1x1 kernel, stride 1, no padding: the patch matrix is the flattened
+  // image, and the plan reads it in place.
   ConvGeom g{2, 3, 3, 1, 1, 0};
+  const ConvPlan plan(g, "c");
   Rng rng(3);
   Tensor img = Tensor::randn(Shape{2, 3, 3}, rng);
-  Tensor cols;
-  im2col(img, g, cols);
+  EXPECT_EQ(plan.plane_size(), 0);
+  EXPECT_EQ(plan.fill(img.data().data(), nullptr), img.data().data());
+  Tensor cols = plan_patches(plan, img);
   ASSERT_EQ(cols.shape(), (Shape{2, 9}));
   for (int64_t i = 0; i < img.numel(); ++i) EXPECT_EQ(cols[i], img[i]);
 }
 
 TEST(Im2col, ZeroPaddingFillsBorders) {
   ConvGeom g{1, 2, 2, 3, 1, 1};
+  const ConvPlan plan(g, "c");
   Tensor img = Tensor::ones(Shape{1, 2, 2});
-  Tensor cols;
-  im2col(img, g, cols);
+  Tensor cols = plan_patches(plan, img);
   ASSERT_EQ(cols.shape(), (Shape{9, 4}));
   // Kernel offset (0,0) reads the pixel up-left of each output: for output
   // (0,0) that's padding -> 0.
@@ -193,9 +229,12 @@ TEST(Im2col, ZeroPaddingFillsBorders) {
 
 TEST(Im2col, StrideSkipsPositions) {
   ConvGeom g{1, 4, 4, 1, 2, 0};
+  const ConvPlan plan(g, "c");
+  // A 1x1 stride-2 kernel reads phase (0, 0) only: the 2x2 even pixels.
+  EXPECT_EQ(plan.phases, 1);
+  EXPECT_EQ(plan.plane_size(), 4);
   Tensor img = Tensor::arange(16).reshape(Shape{1, 4, 4});
-  Tensor cols;
-  im2col(img, g, cols);
+  Tensor cols = plan_patches(plan, img);
   ASSERT_EQ(cols.shape(), (Shape{1, 4}));
   EXPECT_EQ(cols[0], 0.0f);
   EXPECT_EQ(cols[1], 2.0f);
@@ -203,23 +242,55 @@ TEST(Im2col, StrideSkipsPositions) {
   EXPECT_EQ(cols[3], 10.0f);
 }
 
+/// A plan refuses a geometry whose kernel does not fit the padded image,
+/// naming its owner; the same kernel fits once padding makes room.
 TEST(Im2col, GeometryMismatchThrows) {
-  ConvGeom g{1, 4, 4, 3, 1, 1};
-  Tensor img(Shape{2, 4, 4});
-  Tensor cols;
-  EXPECT_THROW(im2col(img, g, cols), std::invalid_argument);
+  try {
+    const ConvPlan plan(ConvGeom{1, 4, 4, 5, 1, 0}, "stem");
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("stem: ", 0), 0u) << e.what();
+  }
+  const ConvPlan padded(ConvGeom{1, 4, 4, 5, 1, 1}, "stem");
+  EXPECT_EQ(padded.oh, 2);
 }
 
-/// col2im must be the adjoint of im2col: <im2col(x), y> == <x, col2im(y)>.
+/// Every offset of the plan addresses the element im2col puts at that patch
+/// row, for every position, across kernel sizes, strides, pads and odd
+/// extents.
+TEST(Im2col, PlanAddressesEveryPatchElement) {
+  const ConvGeom geoms[] = {
+      {2, 5, 7, 3, 1, 1}, {3, 8, 8, 3, 2, 1}, {2, 8, 8, 1, 2, 0}, {2, 7, 5, 5, 2, 2},
+      {1, 9, 9, 3, 3, 0}, {2, 4, 4, 1, 1, 2}, {3, 6, 6, 3, 1, 0}, {2, 5, 5, 1, 3, 1},
+      {1, 3, 1, 3, 1, 1}, {2, 16, 16, 5, 1, 2}, {1, 11, 6, 3, 2, 0},
+  };
+  Rng rng(6);
+  for (const ConvGeom& g : geoms) {
+    SCOPED_TRACE("k" + std::to_string(g.k) + " s" + std::to_string(g.stride) + " p" +
+                 std::to_string(g.pad) + " " + std::to_string(g.in_h) + "x" +
+                 std::to_string(g.in_w));
+    const ConvPlan plan(g, "c");
+    const Tensor img = Tensor::randn(Shape{g.in_c, g.in_h, g.in_w}, rng);
+    const Tensor cols = plan_patches(plan, img);
+    for (int64_t r = 0; r < g.patch(); ++r) {
+      for (int64_t p = 0; p < g.out_h() * g.out_w(); ++p) {
+        ASSERT_EQ(cols.at(r, p), im2col_at(img.data().data(), g, r, p)) << "row " << r << " p " << p;
+      }
+    }
+  }
+}
+
+/// The backward's fold must be the adjoint of the forward's patch reads:
+/// <patches(x), y> == <x, fold(y)>.
 TEST(Col2im, IsAdjointOfIm2col) {
   ConvGeom g{2, 5, 4, 3, 2, 1};
+  const ConvPlan plan(g, "c");
   Rng rng(4);
   Tensor x = Tensor::randn(Shape{2, 5, 4}, rng);
-  Tensor cols;
-  im2col(x, g, cols);
+  Tensor cols = plan_patches(plan, x);
   Tensor y = Tensor::randn(cols.shape(), rng);
-  Tensor back;
-  col2im(y, g, back);
+  Tensor back(Shape{2, 5, 4});
+  fold_patches_add(y.data().data(), g, back.data().data());
 
   double lhs = 0.0, rhs = 0.0;
   for (int64_t i = 0; i < cols.numel(); ++i) lhs += static_cast<double>(cols[i]) * y[i];

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "grad_check.hpp"
 #include "tensor/ops.hpp"
@@ -224,6 +227,28 @@ struct ConvCase {
   bool bias;
 };
 
+/// Weight masks of the bit-identity sweep. kPattern is the original fixed
+/// pattern (every third weight kept, row 1 pruned whole); the random masks
+/// draw every weight independently, so the zero pattern differs between the
+/// channels of one register block, at the densities the sparse engine
+/// compiles to dense (0.55) and CSR (0.17, 0.05).
+enum class ConvMask { kDense, kPattern, kRandom55, kRandom17, kRandom05, kZero };
+
+void apply_mask(Parameter& w, ConvMask m, Rng& rng) {
+  if (m == ConvMask::kDense) return;
+  const double density = m == ConvMask::kRandom55   ? 0.55
+                         : m == ConvMask::kRandom17 ? 0.17
+                         : m == ConvMask::kRandom05 ? 0.05
+                                                    : 0.0;
+  for (int64_t j = 0; j < w.mask.numel(); ++j) {
+    const bool pruned = m == ConvMask::kPattern
+                            ? (j % 3 != 0 || j / w.value.size(1) == 1)
+                            : rng.uniform() >= static_cast<float>(density);
+    if (pruned) w.mask[j] = 0.0f;
+  }
+  w.enforce_mask();
+}
+
 TEST(ConvBitIdentity, MatchesReferenceFormulation) {
   const ConvCase cases[] = {
       {3, 5, 3, 1, 1, 6, 6, true},    // k3/s1/p1
@@ -232,60 +257,103 @@ TEST(ConvBitIdentity, MatchesReferenceFormulation) {
       {5, 3, 3, 1, 1, 5, 7, false},   // odd 5×7 plane
       {4, 6, 3, 2, 1, 5, 7, true},    // odd plane, strided
       {2, 3, 5, 2, 2, 7, 5, false},   // k5: the generic kernel-size path
+      // out_c 1/3/5/10 against output widths 1…9 and 16: the kernels' full,
+      // paired-row and masked slots and their channel-block tails.
+      {2, 1, 3, 1, 1, 3, 1, true},    // ow 1
+      {3, 3, 3, 2, 1, 4, 4, false},   // 2×2 output
+      {2, 5, 3, 1, 1, 3, 3, true},    // ow 3
+      {3, 10, 3, 1, 1, 5, 4, false},  // ow 4, odd oh: row pairs + one masked row
+      {2, 1, 3, 1, 1, 4, 4, true},    // ow 4, even oh
+      {2, 3, 3, 1, 1, 2, 5, true},    // ow 5
+      {2, 5, 3, 2, 1, 4, 11, false},  // ow 6, strided
+      {3, 1, 1, 1, 0, 3, 7, true},    // ow 7, 1×1 read in place
+      {2, 10, 3, 1, 1, 4, 8, false},  // ow 8
+      {2, 3, 3, 2, 1, 3, 17, true},   // ow 9: one full slot + a 1-wide tail
+      {3, 5, 3, 1, 1, 3, 16, false},  // ow 16
+      {4, 10, 1, 2, 0, 9, 9, true},   // 1×1 stride-2 shortcut, ow 5
+      {2, 5, 5, 1, 2, 6, 12, false},  // k5/p2, ow 12
+      {1, 2, 3, 1, 1, 2, 2100, true}, // rows wider than the scalar kernel's buffer
   };
+  const ConvMask masks[] = {ConvMask::kDense,    ConvMask::kPattern,  ConvMask::kRandom55,
+                            ConvMask::kRandom17, ConvMask::kRandom05, ConvMask::kZero};
   for (const ConvCase& cc : cases) {
-    for (const bool masked : {false, true}) {
-      SCOPED_TRACE("in_c " + std::to_string(cc.in_c) + " out_c " + std::to_string(cc.out_c) +
-                   " k" + std::to_string(cc.k) + " s" + std::to_string(cc.stride) + " " +
-                   std::to_string(cc.h) + "x" + std::to_string(cc.w) +
-                   (masked ? " masked" : " dense"));
-      Rng rng(100 + cc.in_c);
-      Conv2d conv("c", cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.h, cc.w, cc.bias, rng);
-      std::vector<Parameter*> params;
-      conv.collect_params(params);
-      if (cc.bias) params[1]->value = Tensor::randn(Shape{cc.out_c}, rng);
-      Parameter& w = conv.weight();
-      if (masked) {
-        for (int64_t j = 0; j < w.mask.numel(); ++j) {
-          if (j % 3 != 0 || j / w.value.size(1) == 1) w.mask[j] = 0.0f;  // row 1 pruned whole
+    for (const ConvMask mask : masks) {
+      // The non-finite input puts NaN and +Inf into channel 0, whose weights
+      // are all zeroed: skipped terms must keep them out of every output.
+      for (const bool nonfinite : {false, true}) {
+        SCOPED_TRACE("in_c " + std::to_string(cc.in_c) + " out_c " + std::to_string(cc.out_c) +
+                     " k" + std::to_string(cc.k) + " s" + std::to_string(cc.stride) + " " +
+                     std::to_string(cc.h) + "x" + std::to_string(cc.w) + " mask " +
+                     std::to_string(static_cast<int>(mask)) +
+                     (nonfinite ? " nonfinite" : ""));
+        Rng rng(100 + cc.in_c);
+        Conv2d conv("c", cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.h, cc.w, cc.bias, rng);
+        std::vector<Parameter*> params;
+        conv.collect_params(params);
+        if (cc.bias) params[1]->value = Tensor::randn(Shape{cc.out_c}, rng);
+        Parameter& w = conv.weight();
+        apply_mask(w, mask, rng);
+        const ConvGeom& g = conv.geom();
+        Tensor x = Tensor::randn(Shape{5, cc.in_c, cc.h, cc.w}, rng);
+        if (nonfinite) {
+          const int64_t kk = cc.k * cc.k;
+          for (int64_t o = 0; o < cc.out_c; ++o) {
+            for (int64_t j = 0; j < kk; ++j) w.mask.at(o, j) = 0.0f;
+          }
+          w.enforce_mask();
+          const int64_t plane = cc.h * cc.w;
+          for (int64_t i = 0; i < 5; ++i) {
+            float* c0 = x.data().data() + i * cc.in_c * plane;
+            for (int64_t p = 0; p < plane; ++p) {
+              if (p % 2 == 0) c0[p] = std::numeric_limits<float>::quiet_NaN();
+              if (p % 3 == 1) c0[p] = std::numeric_limits<float>::infinity();
+            }
+          }
         }
-        w.enforce_mask();
-      }
-      const ConvGeom& g = conv.geom();
-      const Tensor x = Tensor::randn(Shape{5, cc.in_c, cc.h, cc.w}, rng);
-      const Tensor dy = Tensor::randn(Shape{5, cc.out_c, g.out_h(), g.out_w()}, rng);
-      const Tensor dw0 = Tensor::randn(w.value.shape(), rng);
-      const Tensor db0 = Tensor::randn(Shape{cc.out_c}, rng);
-      const ConvResult ref =
-          ref_conv(g, w.value, cc.bias ? &params[1]->value : nullptr, x, dy, dw0, db0);
+        const Tensor dy = Tensor::randn(Shape{5, cc.out_c, g.out_h(), g.out_w()}, rng);
+        const Tensor dw0 = Tensor::randn(w.value.shape(), rng);
+        const Tensor db0 = Tensor::randn(Shape{cc.out_c}, rng);
+        const ConvResult ref =
+            ref_conv(g, w.value, cc.bias ? &params[1]->value : nullptr, x, dy, dw0, db0);
+        if (nonfinite) {
+          for (const float v : ref.y.data()) ASSERT_TRUE(std::isfinite(v));
+        }
 
-      for (const int threads : {1, 2, 4}) {
-        for (const bool scalar : {true, false}) {
-          SCOPED_TRACE(std::to_string(threads) + (scalar ? " threads, scalar" : " threads, simd"));
-          parallel::set_num_threads(threads);
-          if (scalar) {
-            simd::force(simd::Isa::kScalar);
-          } else {
-            simd::reset();
+        for (const int threads : {1, 2, 4}) {
+          for (const bool scalar : {true, false}) {
+            SCOPED_TRACE(std::to_string(threads) +
+                         (scalar ? " threads, scalar" : " threads, simd"));
+            parallel::set_num_threads(threads);
+            if (scalar) {
+              simd::force(simd::Isa::kScalar);
+            } else {
+              simd::reset();
+            }
+            w.grad = dw0;
+            if (cc.bias) params[1]->grad = db0;
+            const Tensor y = conv.forward(x, true);
+            const Tensor dx = conv.backward(dy);
+            EXPECT_TRUE(same_bits(y, ref.y));
+            EXPECT_TRUE(same_bits(dx, ref.dx));
+            EXPECT_TRUE(same_bits(w.grad, ref.dw));
+            if (cc.bias) {
+              EXPECT_TRUE(same_bits(params[1]->grad, ref.db));
+            }
+            // The compiled eval forward: auto picks dense or CSR from the
+            // density, csr forces the CSR conv kernel at every density.
+            for (const sparse::Mode m : {sparse::Mode::kAuto, sparse::Mode::kCsr}) {
+              sparse::force(m);
+              conv.set_sparse(true);
+              EXPECT_TRUE(same_bits(conv.forward(x, false), ref.y))
+                  << "sparse mode " << sparse::mode_name(m);
+              conv.set_sparse(false);
+            }
+            sparse::reset();
           }
-          w.grad = dw0;
-          if (cc.bias) params[1]->grad = db0;
-          const Tensor y = conv.forward(x, true);
-          const Tensor dx = conv.backward(dy);
-          EXPECT_TRUE(same_bits(y, ref.y));
-          EXPECT_TRUE(same_bits(dx, ref.dx));
-          EXPECT_TRUE(same_bits(w.grad, ref.dw));
-          if (cc.bias) {
-            EXPECT_TRUE(same_bits(params[1]->grad, ref.db));
-          }
-          // The compiled-sparse eval forward reads the same patch matrix.
-          conv.set_sparse(true);
-          EXPECT_TRUE(same_bits(conv.forward(x, false), ref.y));
-          conv.set_sparse(false);
         }
+        simd::reset();
+        parallel::set_num_threads(0);
       }
-      simd::reset();
-      parallel::set_num_threads(0);
     }
   }
 }

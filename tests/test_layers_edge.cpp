@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "grad_check.hpp"
 #include "nn/layers.hpp"
 #include "tensor/ops.hpp"
@@ -64,6 +67,44 @@ TEST(Conv2dEdge, ForwardIsDeterministicAcrossCalls) {
   Tensor y1 = conv.forward(x, false);
   Tensor y2 = conv.forward(x, false);
   EXPECT_LT(l2_distance(y1, y2), 1e-7f);
+}
+
+/// A geometry with no valid output is refused at construction, with the
+/// layer's name in the message, before any weight is drawn.
+TEST(Conv2dEdge, InvalidGeometryThrowsNamingTheLayer) {
+  struct Bad {
+    const char* why;
+    int64_t in_c, out_c, k, stride, pad, h, w;
+  };
+  const Bad bad[] = {
+      {"k 0", 2, 3, 0, 1, 1, 4, 4},
+      {"k < 0", 2, 3, -1, 1, 1, 4, 4},
+      {"stride 0 (divides by zero in out_h)", 2, 3, 3, 0, 1, 4, 4},
+      {"stride < 0", 2, 3, 3, -2, 1, 4, 4},
+      {"pad < 0", 2, 3, 3, 1, -1, 4, 4},
+      {"in_c 0", 0, 3, 3, 1, 1, 4, 4},
+      {"out_c 0", 2, 0, 3, 1, 1, 4, 4},
+      {"in_h 0", 2, 3, 1, 1, 0, 0, 4},
+      {"k > in_h + 2 pad (out_h < 1)", 2, 3, 5, 1, 0, 4, 8},
+      {"k > in_w + 2 pad (out_w < 1)", 2, 3, 5, 2, 0, 8, 3},
+      {"k > in + 2 pad at stride 2 (truncation would say out_h 1)", 1, 1, 3, 2, 0, 2, 2},
+  };
+  for (const Bad& b : bad) {
+    SCOPED_TRACE(b.why);
+    Rng rng(8);
+    try {
+      Conv2d conv("net.s1b1.conv", b.in_c, b.out_c, b.k, b.stride, b.pad, b.h, b.w, false, rng);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("net.s1b1.conv"), std::string::npos) << e.what();
+    }
+  }
+  // The tightest valid geometries still construct and run.
+  Rng rng(9);
+  Conv2d fits("c", 1, 2, 3, 2, 0, 3, 3, false, rng);  // k == in: one output
+  EXPECT_EQ(fits.forward(Tensor(Shape{1, 1, 3, 3}), false).shape(), (Shape{1, 2, 1, 1}));
+  Conv2d pad_only("c", 1, 2, 3, 1, 1, 1, 1, false, rng);  // a 1×1 image, k == 1 + 2 pad
+  EXPECT_EQ(pad_only.forward(Tensor(Shape{1, 1, 1, 1}), false).shape(), (Shape{1, 2, 1, 1}));
 }
 
 TEST(LinearEdge, NoBiasOmitsBiasTerm) {

@@ -65,6 +65,8 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
     if (t == nullptr) continue;
     EXPECT_NE(t->gemm_panel, nullptr);
     EXPECT_NE(t->csr_gemm, nullptr);
+    EXPECT_NE(t->conv_dense, nullptr);
+    EXPECT_NE(t->conv_csr, nullptr);
     EXPECT_NE(t->relu, nullptr);
     EXPECT_NE(t->relu_grad, nullptr);
     EXPECT_NE(t->add, nullptr);
