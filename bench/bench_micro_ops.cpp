@@ -213,13 +213,14 @@ void BM_ConvBackwardSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackwardSimd)->Arg(0)->Arg(1)->UseRealTime();
 
-/// The acceptance benchmark for the compile-to-sparse engine: n³ GEMM at one
-/// thread with the A operand unstructured-pruned to a target density
-/// (per-mille in arg 1), executed dense (arg 2 = 0) or through a compiled
-/// CSR (1) layout. Both variants are bit-identical in output
-/// (tests/test_sparse.cpp); the dense rows at each density are the
-/// baseline of the committed speedup-vs-density curves. Acceptance: ≥3×
-/// over dense at ≤10% density.
+/// The acceptance benchmark for the compile-to-sparse engine: an n³ Linear
+/// product y = x·wᵀ (rp::sparse::rhs_matmul_into, the engine's matrix
+/// entry) at one thread with the weight unstructured-pruned to a target
+/// density (per-mille in arg 1), compiled dense (arg 2 = 0, rp::gemm with
+/// trans_b) or CSR (1, the CSR conv kernel as a 1×1 conv). Both variants
+/// are bit-identical in output (tests/test_sparse.cpp); the dense rows at
+/// each density are the baseline of the committed speedup-vs-density
+/// curves. Acceptance: ≥3× over dense at ≤10% density.
 void BM_SparseGemm(benchmark::State& state) {
   const int64_t n = state.range(0);
   const double density = static_cast<double>(state.range(1)) / 1000.0;
@@ -232,19 +233,12 @@ void BM_SparseGemm(benchmark::State& state) {
       if (rng.uniform() >= static_cast<float>(density)) v = 0.0f;
     }
   }
-  Tensor b = Tensor::randn(Shape{n, n}, rng);
-  Tensor c(Shape{n, n});
-  if (layout == 0) {
-    for (auto _ : state) {
-      gemm(a, b, c);
-      benchmark::DoNotOptimize(c.data().data());
-    }
-  } else {
-    const auto w = sparse::compile(a, sparse::Mode::kCsr);
-    for (auto _ : state) {
-      sparse::matmul_into(w, b, c);
-      benchmark::DoNotOptimize(c.data().data());
-    }
+  Tensor x = Tensor::randn(Shape{n, n}, rng);
+  Tensor y(Shape{n, n});
+  const auto w = sparse::compile(a, layout == 0 ? sparse::Mode::kOff : sparse::Mode::kCsr);
+  for (auto _ : state) {
+    sparse::rhs_matmul_into(w, x, y);
+    benchmark::DoNotOptimize(y.data().data());
   }
   parallel::set_num_threads(0);
   // Dense-equivalent FLOPs on purpose: the curves compare layouts at equal

@@ -4,7 +4,8 @@
 # dispatched SIMD kernels (RP_SPARSE defaults to auto, so the sparse engine is
 # live on every evaluate/predict), with RP_SIMD=off forcing the scalar
 # fallback, and with RP_SPARSE=off forcing the dense execution path (plus
-# the conv/sparse/serving slice with RP_SPARSE=csr forcing CSR) — then a
+# the conv/sparse/serving slice with RP_SPARSE=csr forcing CSR, dispatched
+# and under RP_SIMD=off) — then a
 # fast smoke pass with RP_TRACE active (the trace file must come out as valid
 # JSON), then a fault-injection pass (RP_FAULTS periodic transient write/read
 # faults over the storage-heavy suite slice, plus the SIGKILL crash-matrix
@@ -48,8 +49,12 @@ echo "== [2/7] Same suite with RP_SIMD=off (scalar fallback) and RP_SPARSE=off (
 RP_SIMD=off ctest --test-dir build --output-on-failure -j "$JOBS"
 RP_SPARSE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 # RP_SPARSE=csr compiles every layer to CSR, so the CSR conv kernel runs on
-# every conv layer, not only on the ones auto finds sparse enough.
+# every conv and Linear layer (a Linear runs on it as a 1×1 conv), not only
+# on the ones auto finds sparse enough: once dispatched, once on the scalar
+# kernel under RP_SIMD=off.
 RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Conv|Sparse|Serve'
+RP_SIMD=off RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" \
+  -R 'Conv|Sparse|Serve'
 
 echo "== [3/7] Observability smoke: tracing on, results unchanged, trace is JSON =="
 # One serial pass over a results-bearing slice of the suite with RP_TRACE

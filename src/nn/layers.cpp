@@ -176,7 +176,7 @@ Tensor Conv2d::backward(const Tensor& dy) {
   transpose(weight_.value.data().data(), out_c_, patch, wt.data().data());
 
   // Parallel over samples (same recipe as evaluate()): each sample's dW and
-  // db contribution is computed independently — a beta=0 GEMM into per-lane
+  // db contribution is computed independently — an overwriting GEMM into per-lane
   // scratch — and stored at its sample index; the fold into the parameter
   // gradients below runs in fixed sample order. Partial values depend only
   // on the sample, never on chunking, so gradients are bit-identical for any
@@ -327,7 +327,8 @@ Tensor Linear::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
   // dW += dyᵀ @ x
   // rp-lint: allow(R9) training backward: gradients need the dense weight
-  gemm(dy, cached_input_, weight_.grad, /*trans_a=*/true, /*trans_b=*/false, 1.0f, 1.0f);
+  gemm(dy, cached_input_, weight_.grad, /*trans_a=*/true, /*trans_b=*/false,
+       /*accumulate=*/true);
   if (use_bias_) {
     float* bg = bias_.grad.data().data();
     const float* dyd = dy.data().data();

@@ -32,9 +32,8 @@ constexpr int64_t kParallelMinMacs = int64_t{1} << 18;
 // rp-lint: allow(R3) per-lane GEMM scratch; never aliased across lanes
 thread_local std::vector<float> tl_at_buf, tl_bt_buf, tl_pack_buf;
 
-void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k,
-                  float alpha) {
-  // The panel microkernel — C[i0:i1, 0:nc] += alpha * A[i0:i1, 0:kc] @
+void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {
+  // The panel microkernel — C[i0:i1, 0:nc] += A[i0:i1, 0:kc] @
   // panel[0:kc, 0:nc] — is ISA-dispatched (simd.hpp). Each output row is
   // owned by exactly one task and its k-accumulation order is fixed by the
   // (jc, pc) loop nest and unchanged by vectorization (lanes run across
@@ -62,7 +61,7 @@ void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n
         ldp = nc;
       }
       auto rows = [&](int64_t i0, int64_t i1) {
-        kernel_panel(a + pc, k, panel, ldp, c + jc, n, i0, i1, kc, nc, alpha);
+        kernel_panel(a + pc, k, panel, ldp, c + jc, n, i0, i1, kc, nc);
       };
       if (threaded) {
         parallel::parallel_for(0, m, grain, rows);
@@ -141,8 +140,8 @@ void check_conv_geometry(const ConvGeom& g, const std::string& who) {
 }  // namespace
 
 // rp-lint: hot
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_b, float alpha,
-          float beta) {
+void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_b,
+          bool accumulate) {
   if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2) {
     throw std::invalid_argument("gemm expects 2-D tensors");
   }
@@ -155,18 +154,14 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
     throw std::invalid_argument("gemm: incompatible shapes " + a.shape().to_string() + " x " +
                                 b.shape().to_string() + " -> " + c.shape().to_string());
   }
-  if (m == 0 || n == 0) return;  // C is empty — nothing to scale or accumulate
+  if (m == 0 || n == 0) return;  // C is empty — nothing to zero or accumulate
 
-  // Single beta pre-pass for every beta value, chunked so large C matrices
-  // scale in parallel (disjoint ranges — bit-deterministic).
+  // An overwriting call zeroes C first, chunked so large C matrices clear in
+  // parallel (disjoint ranges — bit-deterministic).
   float* cd = c.data().data();
-  if (beta != 1.0f) {
+  if (!accumulate) {
     parallel::parallel_for(0, m * n, int64_t{1} << 16, [&](int64_t lo, int64_t hi) {
-      if (beta == 0.0f) {
-        std::memset(cd + lo, 0, static_cast<size_t>(hi - lo) * sizeof(float));
-      } else {
-        simd::scale(cd + lo, beta, hi - lo);
-      }
+      std::memset(cd + lo, 0, static_cast<size_t>(hi - lo) * sizeof(float));
     });
   }
   if (k == 0) return;
@@ -186,7 +181,7 @@ void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_
     bd = tl_bt_buf.data();
   }
 
-  gemm_blocked(ad, bd, cd, m, n, k, alpha);
+  gemm_blocked(ad, bd, cd, m, n, k);
 }
 
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {

@@ -9,7 +9,8 @@
 
 namespace rp {
 
-/// C = alpha * op(A) @ op(B) + beta * C for row-major float matrices.
+/// C = op(A) @ op(B) for row-major float matrices, or C += op(A) @ op(B)
+/// when `accumulate`.
 ///
 /// `a` is [M, K] (or [K, M] when `trans_a`), `b` is [K, N] (or [N, K] when
 /// `trans_b`), `c` is [M, N]. The kernel is cache-blocked (B packed into
@@ -19,7 +20,7 @@ namespace rp {
 /// for any RP_THREADS value. Rows of op(A) that are entirely zero after
 /// masking are skipped, so structured pruning shows real wall-clock savings.
 void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a = false, bool trans_b = false,
-          float alpha = 1.0f, float beta = 0.0f);
+          bool accumulate = false);
 
 /// Convenience allocation form: returns op(A) @ op(B).
 Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false, bool trans_b = false);

@@ -23,30 +23,15 @@ namespace {
 // loops, so the scalar path is a correctness reference, not a slow path.
 
 void s_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc, float alpha) {
+                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
     for (int64_t p = 0; p < kc; ++p) {
-      const float av = alpha * ai[p];
+      const float av = ai[p];
       if (av == 0.0f) continue;  // masked / sparse rows are common after pruning
       const float* bp = panel + p * ldp;
       for (int64_t j = 0; j < nc; ++j) ci[j] = std::fma(av, bp[j], ci[j]);
-    }
-  }
-}
-
-void s_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
-                const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
-                int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    float* ci = c + i * ldc;
-    const int32_t lo = row_ptr[i], hi = row_ptr[i + 1];
-    for (int32_t t = lo; t < hi; ++t) {
-      const float av = values[t];
-      if (av == 0.0f) continue;  // a stored 0.0f stays a no-op, like the dense zero skip
-      const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
-      for (int64_t j = 0; j < n; ++j) ci[j] = std::fma(av, bp[j], ci[j]);
     }
   }
 }
@@ -147,10 +132,6 @@ void s_div_scalar(float* dst, float v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] /= v;
 }
 
-void s_bias_add(float* dst, const float* src, float b, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = src[i] + b;
-}
-
 void s_clamp(float* x, float lo, float hi, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
 }
@@ -179,9 +160,9 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kScalarKernels{
-    s_gemm_panel, s_csr_gemm,   scalar_conv_dense, scalar_conv_csr,
+    s_gemm_panel, scalar_conv_dense, scalar_conv_csr,
     s_relu,       s_relu_grad,  s_add,        s_mul,
-    s_add_scalar, s_scale, s_div_scalar, s_bias_add,   s_clamp,
+    s_add_scalar, s_scale, s_div_scalar, s_clamp,
     s_reduce_max, s_reduce_abs_max,      s_sgd_step,
 };
 

@@ -4,8 +4,9 @@
 #include <string>
 
 // Runtime-dispatched SIMD kernels for the handful of hot loops the profiler
-// actually sees: the GEMM panel microkernel and the elementwise/reduction ops
-// used by layers, the optimizer, and the losses.
+// actually sees: the GEMM panel microkernel, the dense and CSR implicit-GEMM
+// conv kernels, and the elementwise/reduction ops used by layers, the
+// optimizer, and the losses.
 //
 // Contract (DESIGN.md §6): every ISA implementation of a kernel performs the
 // *same per-element arithmetic in the same order* as the scalar fallback.
@@ -39,25 +40,12 @@ struct ConvArgs {
 // entries are non-null in every table (an ISA that has no custom version of
 // an op points at the scalar one).
 struct Kernels {
-  // C[i0:i1, 0:nc] += alpha * A[i0:i1, 0:kc] @ panel[0:kc, 0:nc].
+  // C[i0:i1, 0:nc] += A[i0:i1, 0:kc] @ panel[0:kc, 0:nc].
   // Row-major, panel rows contiguous with stride ldp. Must preserve the
-  // pruning-aware zero-row skip: a == 0.0f element of alpha*A contributes
-  // nothing and its panel row is not touched.
+  // pruning-aware zero-row skip: a == 0.0f element of A contributes nothing
+  // and its panel row is not touched.
   void (*gemm_panel)(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                     int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc, float alpha);
-
-  // Sparse(A)×dense(B) CSR row kernel for the compile-to-sparse engine
-  // (tensor/sparse.hpp). Accumulates into C rows [i0, i1) of a zeroed
-  // C[rows, n] and must execute, per output element, the exact fma chain the
-  // dense gemm_panel would: stored entries walked in ascending k order, every
-  // multiply-add single-rounded, and entries equal to 0.0f skipped (so a
-  // stored zero is still a bit-level no-op, matching the dense zero skip).
-  //
-  // Row i holds values[row_ptr[i]:row_ptr[i+1]] at ascending columns
-  // col_idx[...]; C[i, 0:n] += sum_t values[t] * B[col_idx[t], 0:n].
-  void (*csr_gemm)(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
-                   const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
-                   int64_t n);
+                     int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc);
 
   // Implicit-GEMM conv forward over output channels [o0, o1) of one sample:
   //   y[o, y·ow + x] = Σ_r w[o, r] · plane[off[r] + y·ld + x]  (+ bias[o])
@@ -67,9 +55,11 @@ struct Kernels {
   // weight never reaches the output), then one add of bias[o] when bias is
   // non-null. conv_dense reads a dense row-major w [out_c, patch] plus its
   // zero masks nz (tensor/gemm.hpp conv_zero_masks), which it may use in
-  // place of testing w; conv_csr walks row o's stored entries in ascending
-  // column order, like csr_gemm. Neither reads the plane outside the rows
-  // and columns the outputs cover.
+  // place of testing w; conv_csr walks row o's stored CSR entries
+  // (values[row_ptr[o]:row_ptr[o+1]] at ascending columns col_idx[...]) in
+  // order, so a stored 0.0f stays a no-op too. Neither reads the plane
+  // outside the rows and columns the outputs cover. conv_csr is the only CSR
+  // kernel: a Linear layer runs on it as a 1×1 conv (tensor/sparse.hpp).
   void (*conv_dense)(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
                      int64_t o1);
   void (*conv_csr)(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
@@ -82,7 +72,6 @@ struct Kernels {
   void (*add_scalar)(float* dst, float v, int64_t n);               // dst += v
   void (*scale)(float* dst, float v, int64_t n);                    // dst *= v
   void (*div_scalar)(float* dst, float v, int64_t n);               // dst /= v
-  void (*bias_add)(float* dst, const float* src, float b, int64_t n);  // dst = src + b
   void (*clamp)(float* x, float lo, float hi, int64_t n);           // x = clamp(x, lo, hi)
   float (*reduce_max)(const float* x, int64_t n);                   // max(x); n >= 1
   float (*reduce_abs_max)(const float* x, int64_t n);               // max(|x|); 0 for n == 0
@@ -134,9 +123,6 @@ inline void mul(float* dst, const float* src, int64_t n) { kernels().mul(dst, sr
 inline void add_scalar(float* dst, float v, int64_t n) { kernels().add_scalar(dst, v, n); }
 inline void scale(float* dst, float v, int64_t n) { kernels().scale(dst, v, n); }
 inline void div_scalar(float* dst, float v, int64_t n) { kernels().div_scalar(dst, v, n); }
-inline void bias_add(float* dst, const float* src, float b, int64_t n) {
-  kernels().bias_add(dst, src, b, n);
-}
 inline void clamp(float* x, float lo, float hi, int64_t n) { kernels().clamp(x, lo, hi, n); }
 inline float reduce_max(const float* x, int64_t n) { return kernels().reduce_max(x, n); }
 inline float reduce_abs_max(const float* x, int64_t n) { return kernels().reduce_abs_max(x, n); }

@@ -37,7 +37,7 @@ namespace {
 // row of a pruned weight.
 
 void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc, float alpha) {
+                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
@@ -53,7 +53,7 @@ void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
       __m256 c6 = _mm256_loadu_ps(cj + 48);
       __m256 c7 = _mm256_loadu_ps(cj + 56);
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         const __m256 va = _mm256_set1_ps(av);
         const float* bp = panel + p * ldp + j;
@@ -80,7 +80,7 @@ void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
       __m256 c0 = _mm256_loadu_ps(cj + 0);
       __m256 c1 = _mm256_loadu_ps(cj + 8);
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         const __m256 va = _mm256_set1_ps(av);
         const float* bp = panel + p * ldp + j;
@@ -94,7 +94,7 @@ void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
       float* cj = ci + j;
       __m256 c0 = _mm256_loadu_ps(cj);
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         c0 = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(panel + p * ldp + j), c0);
       }
@@ -102,101 +102,10 @@ void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
     }
     if (j < nc) {
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         const float* bp = panel + p * ldp;
         for (int64_t jj = j; jj < nc; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
-
-// -- sparse×dense kernels ---------------------------------------------------
-//
-// Same contract as the scalar s_csr_gemm: per output element
-// the stored-entry walk ascends in k and every multiply-add is a fused
-// vfmadd, so the chain is bit-identical to the scalar kernels and (via the
-// zero skip) to the dense reference. The column tiles run *outside* the row
-// loop so one 64-column strip of B stays L2-hot across all rows of the
-// sparse matrix — the access pattern CSR otherwise loses to cache misses.
-
-void a_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
-                const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
-                int64_t n) {
-  int64_t j = 0;
-  for (; j + 64 <= n; j += 64) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* cj = c + i * ldc + j;
-      __m256 c0 = _mm256_loadu_ps(cj + 0);
-      __m256 c1 = _mm256_loadu_ps(cj + 8);
-      __m256 c2 = _mm256_loadu_ps(cj + 16);
-      __m256 c3 = _mm256_loadu_ps(cj + 24);
-      __m256 c4 = _mm256_loadu_ps(cj + 32);
-      __m256 c5 = _mm256_loadu_ps(cj + 40);
-      __m256 c6 = _mm256_loadu_ps(cj + 48);
-      __m256 c7 = _mm256_loadu_ps(cj + 56);
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb + j;
-        c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 0), c0);
-        c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 8), c1);
-        c2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 16), c2);
-        c3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 24), c3);
-        c4 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 32), c4);
-        c5 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 40), c5);
-        c6 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 48), c6);
-        c7 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 56), c7);
-      }
-      _mm256_storeu_ps(cj + 0, c0);
-      _mm256_storeu_ps(cj + 8, c1);
-      _mm256_storeu_ps(cj + 16, c2);
-      _mm256_storeu_ps(cj + 24, c3);
-      _mm256_storeu_ps(cj + 32, c4);
-      _mm256_storeu_ps(cj + 40, c5);
-      _mm256_storeu_ps(cj + 48, c6);
-      _mm256_storeu_ps(cj + 56, c7);
-    }
-  }
-  for (; j + 16 <= n; j += 16) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* cj = c + i * ldc + j;
-      __m256 c0 = _mm256_loadu_ps(cj + 0);
-      __m256 c1 = _mm256_loadu_ps(cj + 8);
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb + j;
-        c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 0), c0);
-        c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 8), c1);
-      }
-      _mm256_storeu_ps(cj + 0, c0);
-      _mm256_storeu_ps(cj + 8, c1);
-    }
-  }
-  for (; j + 8 <= n; j += 8) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* cj = c + i * ldc + j;
-      __m256 c0 = _mm256_loadu_ps(cj);
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(av),
-                             _mm256_loadu_ps(b + static_cast<int64_t>(col_idx[t]) * ldb + j), c0);
-      }
-      _mm256_storeu_ps(cj, c0);
-    }
-  }
-  if (j < n) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* ci = c + i * ldc;
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
-        for (int64_t jj = j; jj < n; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
       }
     }
   }
@@ -533,15 +442,6 @@ void a_div_scalar(float* dst, float v, int64_t n) {
   for (; i < n; ++i) dst[i] /= v;
 }
 
-void a_bias_add(float* dst, const float* src, float b, int64_t n) {
-  const __m256 vb = _mm256_set1_ps(b);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(src + i), vb));
-  }
-  for (; i < n; ++i) dst[i] = src[i] + b;
-}
-
 // min_ps(hi, max_ps(lo, v)) matches std::clamp(v, lo, hi) exactly, including
 // NaN passthrough (both MAXPS and MINPS return the second operand when
 // unordered, and v sits in the second slot of both).
@@ -616,9 +516,9 @@ void a_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kAvx2Kernels{
-    a_gemm_panel, a_csr_gemm,   a_conv_dense, a_conv_csr,
+    a_gemm_panel, a_conv_dense, a_conv_csr,
     a_relu,       a_relu_grad,  a_add,      a_mul,
-    a_add_scalar, a_scale, a_div_scalar, a_bias_add, a_clamp,
+    a_add_scalar, a_scale, a_div_scalar, a_clamp,
     a_reduce_max, a_reduce_abs_max,      a_sgd_step,
 };
 

@@ -24,7 +24,7 @@ namespace {
 // across the kc loop. Tiers: 16 columns (4 independent accumulator chains),
 // 4 columns, scalar std::fma tail; pruning-aware zero skip in every tier.
 void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc, float alpha) {
+                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* ai = a + i * lda;
     float* ci = c + i * ldc;
@@ -36,7 +36,7 @@ void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
       float32x4_t c2 = vld1q_f32(cj + 8);
       float32x4_t c3 = vld1q_f32(cj + 12);
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         const float32x4_t va = vdupq_n_f32(av);
         const float* bp = panel + p * ldp + j;
@@ -54,7 +54,7 @@ void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
       float* cj = ci + j;
       float32x4_t c0 = vld1q_f32(cj);
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         c0 = vfmaq_f32(c0, vdupq_n_f32(av), vld1q_f32(panel + p * ldp + j));
       }
@@ -62,70 +62,10 @@ void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, 
     }
     if (j < nc) {
       for (int64_t p = 0; p < kc; ++p) {
-        const float av = alpha * ai[p];
+        const float av = ai[p];
         if (av == 0.0f) continue;
         const float* bp = panel + p * ldp;
         for (int64_t jj = j; jj < nc; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
-
-// -- sparse×dense kernels ---------------------------------------------------
-//
-// NEON analog of the AVX2 sparse kernel: column tiles outside the row loop
-// (a B strip stays cache-hot across all sparse rows), stored-entry walk
-// ascending in k per output element, fused vfma per multiply-add, zero
-// entries skipped — bit-identical to the scalar s_csr_gemm.
-
-void n_csr_gemm(const int32_t* row_ptr, const int32_t* col_idx, const float* values,
-                const float* b, int64_t ldb, float* c, int64_t ldc, int64_t i0, int64_t i1,
-                int64_t n) {
-  int64_t j = 0;
-  for (; j + 16 <= n; j += 16) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* cj = c + i * ldc + j;
-      float32x4_t c0 = vld1q_f32(cj + 0);
-      float32x4_t c1 = vld1q_f32(cj + 4);
-      float32x4_t c2 = vld1q_f32(cj + 8);
-      float32x4_t c3 = vld1q_f32(cj + 12);
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        const float32x4_t va = vdupq_n_f32(av);
-        const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb + j;
-        c0 = vfmaq_f32(c0, va, vld1q_f32(bp + 0));
-        c1 = vfmaq_f32(c1, va, vld1q_f32(bp + 4));
-        c2 = vfmaq_f32(c2, va, vld1q_f32(bp + 8));
-        c3 = vfmaq_f32(c3, va, vld1q_f32(bp + 12));
-      }
-      vst1q_f32(cj + 0, c0);
-      vst1q_f32(cj + 4, c1);
-      vst1q_f32(cj + 8, c2);
-      vst1q_f32(cj + 12, c3);
-    }
-  }
-  for (; j + 4 <= n; j += 4) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* cj = c + i * ldc + j;
-      float32x4_t c0 = vld1q_f32(cj);
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        c0 = vfmaq_f32(c0, vdupq_n_f32(av),
-                       vld1q_f32(b + static_cast<int64_t>(col_idx[t]) * ldb + j));
-      }
-      vst1q_f32(cj, c0);
-    }
-  }
-  if (j < n) {
-    for (int64_t i = i0; i < i1; ++i) {
-      float* ci = c + i * ldc;
-      for (int32_t t = row_ptr[i]; t < row_ptr[i + 1]; ++t) {
-        const float av = values[t];
-        if (av == 0.0f) continue;
-        const float* bp = b + static_cast<int64_t>(col_idx[t]) * ldb;
-        for (int64_t jj = j; jj < n; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
       }
     }
   }
@@ -192,13 +132,6 @@ void n_div_scalar(float* dst, float v, int64_t n) {
   for (; i < n; ++i) dst[i] /= v;
 }
 
-void n_bias_add(float* dst, const float* src, float b, int64_t n) {
-  const float32x4_t vb = vdupq_n_f32(b);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) vst1q_f32(dst + i, vaddq_f32(vld1q_f32(src + i), vb));
-  for (; i < n; ++i) dst[i] = src[i] + b;
-}
-
 // std::clamp(v, lo, hi) = (v < lo) ? lo : ((hi < v) ? hi : v) as two selects;
 // NaN fails both compares and passes through, matching the scalar exactly.
 void n_clamp(float* x, float lo, float hi, int64_t n) {
@@ -262,9 +195,9 @@ void n_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kNeonKernels{
-    n_gemm_panel, n_csr_gemm,   scalar_conv_dense, scalar_conv_csr,
+    n_gemm_panel, scalar_conv_dense, scalar_conv_csr,
     n_relu,       n_relu_grad,  n_add,      n_mul,
-    n_add_scalar, n_scale, n_div_scalar, n_bias_add, n_clamp,
+    n_add_scalar, n_scale, n_div_scalar, n_clamp,
     n_reduce_max, n_reduce_abs_max,      n_sgd_step,
 };
 

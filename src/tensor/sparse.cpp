@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
@@ -49,12 +49,6 @@ int64_t row_grain(int64_t rows) {
   return std::max<int64_t>(1, rows / (4 * static_cast<int64_t>(parallel::num_threads())));
 }
 
-// Scratch for the transposed-operand path of rhs_matmul_into. Nested
-// parallel loops run inline on the current lane, so each lane owns exactly
-// one set — the same idiom as gemm.cpp's pack buffers.
-// rp-lint: allow(R3) per-lane transpose scratch; never aliased across lanes
-thread_local std::vector<float> tl_xt_buf, tl_yt_buf;
-
 void require_2d(const Tensor& w, const char* who) {
   if (w.ndim() != 2) {
     throw std::invalid_argument(std::string(who) + " expects a 2-D weight, got " +
@@ -62,19 +56,19 @@ void require_2d(const Tensor& w, const char* who) {
   }
 }
 
-// C[rows, n] = W @ B for raw row-major B[cols, n] / C[rows, n] with leading
-// dimension n. C must be pre-zeroed; only the CSR layout comes here (the
-// dense layout goes through rp::gemm).
-void matmul_core(const SparseWeight& w, const float* b, float* c, int64_t n) {
+// Runs the CSR conv kernel over every output channel of a CSR weight,
+// parallel over disjoint channels above the MAC threshold. Both CSR entries
+// — a conv sample and a Linear batch — come here.
+void csr_forward(const SparseWeight& w, const simd::ConvArgs& a) {
   obs::count(obs::Counter::kGemmSparseCalls);
-  const auto kernel = simd::kernels().csr_gemm;
-  auto rows = [&](int64_t i0, int64_t i1) {
-    kernel(w.row_ptr.data(), w.col_idx.data(), w.values.data(), b, n, c, n, i0, i1, n);
+  const auto kernel = simd::kernels().conv_csr;
+  auto channels = [&](int64_t o0, int64_t o1) {
+    kernel(a, w.row_ptr.data(), w.col_idx.data(), w.values.data(), o0, o1);
   };
-  if (2 * w.nnz * n >= kParallelMinMacs) {
-    parallel::parallel_for(0, w.rows, row_grain(w.rows), rows);
+  if (2 * w.nnz * a.oh * a.ow >= kParallelMinMacs) {
+    parallel::parallel_for(0, w.rows, row_grain(w.rows), channels);
   } else {
-    rows(0, w.rows);
+    channels(0, w.rows);
   }
 }
 
@@ -208,25 +202,6 @@ Tensor SparseWeight::to_dense() const {
 // Execution
 
 // rp-lint: hot
-void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c) {
-  if (b.ndim() != 2 || c.ndim() != 2 || b.size(0) != w.cols || c.size(0) != w.rows ||
-      c.size(1) != b.size(1)) {
-    throw std::invalid_argument("sparse::matmul_into: incompatible shapes");
-  }
-  if (w.layout == Layout::kDense) {
-    gemm(w.dense, b, c);
-    return;
-  }
-  const int64_t n = b.size(1);
-  float* cd = c.data().data();
-  parallel::parallel_for(0, w.rows * n, int64_t{1} << 16, [&](int64_t lo, int64_t hi) {
-    std::memset(cd + lo, 0, static_cast<size_t>(hi - lo) * sizeof(float));
-  });
-  if (w.rows == 0 || n == 0) return;
-  matmul_core(w, b.data().data(), cd, n);
-}
-
-// rp-lint: hot
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != w.cols || y.size(0) != x.size(0) ||
       y.size(1) != w.rows) {
@@ -237,19 +212,28 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
     return;
   }
   const int64_t n = x.size(0);
-  if (n == 0 || w.rows == 0) {
+  if (n == 0 || w.rows == 0 || w.cols == 0) {
     y.zero();
     return;
   }
-  // Yᵀ = W @ Xᵀ with materialized transposes — the same once-per-call copy
-  // rp::gemm makes for trans_b, and fma(w, x, c) == fma(x, w, c) bitwise, so
-  // this matches the dense gemm(x, w, y, false, true) reference exactly.
-  const float* xd = x.data().data();
-  tl_xt_buf.resize(static_cast<size_t>(w.cols * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-  transpose(xd, n, w.cols, tl_xt_buf.data());
-  tl_yt_buf.assign(static_cast<size_t>(w.rows * n), 0.0f);
-  matmul_core(w, tl_xt_buf.data(), tl_yt_buf.data(), n);
-  transpose(tl_yt_buf.data(), w.rows, n, y.data().data());
+  if (w.cols * n > INT32_MAX) {
+    throw std::invalid_argument(
+        "sparse::rhs_matmul_into: input too large for 32-bit plane offsets");
+  }
+  // Yᵀ = W @ Xᵀ as a 1×1 conv over the transposed batch: input channel r
+  // is row r of Xᵀ, one output row of n positions. The same once-per-call
+  // transpose rp::gemm makes for trans_b, and fma(w, x, c) == fma(x, w, c)
+  // bitwise, so this matches the dense gemm(x, w, y, false, true) reference
+  // exactly.
+  Tensor xt = Tensor::scratch(Shape{w.cols, n});
+  Tensor yt = Tensor::scratch(Shape{w.rows, n});
+  std::vector<int32_t, mem::ScratchAllocator<int32_t>> off(
+      static_cast<size_t>(w.cols), 0, mem::ScratchAllocator<int32_t>(true));
+  for (int64_t r = 0; r < w.cols; ++r) off[static_cast<size_t>(r)] = static_cast<int32_t>(r * n);
+  transpose(x.data().data(), n, w.cols, xt.data().data());
+  csr_forward(w, simd::ConvArgs{xt.data().data(), off.data(), w.cols, 1, n, n, nullptr,
+                                yt.data().data()});
+  transpose(yt.data().data(), w.rows, n, y.data().data());
 }
 
 // rp-lint: hot
@@ -259,17 +243,7 @@ void conv_forward(const SparseWeight& w, const uint8_t* nz, const ConvPlan& plan
     rp::conv_forward(w.dense, nz, plan, planes, bias, y);
     return;
   }
-  obs::count(obs::Counter::kGemmSparseCalls);
-  const simd::ConvArgs a = plan.args(planes, bias, y);
-  const auto kernel = simd::kernels().conv_csr;
-  auto channels = [&](int64_t o0, int64_t o1) {
-    kernel(a, w.row_ptr.data(), w.col_idx.data(), w.values.data(), o0, o1);
-  };
-  if (2 * w.nnz * a.oh * a.ow >= kParallelMinMacs) {
-    parallel::parallel_for(0, w.rows, row_grain(w.rows), channels);
-  } else {
-    channels(0, w.rows);
-  }
+  csr_forward(w, plan.args(planes, bias, y));
 }
 
 }  // namespace rp::sparse

@@ -8,7 +8,9 @@
 #include "tensor/tensor.hpp"
 
 // Compile-to-sparse execution engine: turns a pruned layer's measured zero
-// pattern into a compact CSR layout plus sparse×dense microkernels, so prune ratio becomes wall-clock speedup on the eval path.
+// pattern into a compact CSR layout run by one sparse×dense kernel (the CSR
+// conv kernel, which serves Linear layers as 1×1 convs), so prune ratio
+// becomes wall-clock speedup on the eval path.
 //
 // Contract (DESIGN.md §6 "Sparse execution"): the sparse path is bit-identical
 // to the dense reference. Per output element the stored nonzeros are walked
@@ -105,16 +107,14 @@ SparseWeight compile(const Tensor& w);
 // ---------------------------------------------------------------------------
 // Execution
 
-/// C[rows, n] = W @ B for dense row-major B[cols, n], overwriting C (dense
-/// beta = 0 semantics). Parallel over disjoint output rows — bit-identical
-/// for any RP_THREADS — and dispatched through the RP_SIMD kernel tables.
-/// Counts obs gemm.sparse_calls on the CSR layout.
-void matmul_into(const SparseWeight& w, const Tensor& b, Tensor& c);
-
-/// Y[n, rows] = X[n, cols] @ Wᵀ — the Linear forward orientation — computed
-/// as Yᵀ = W @ Xᵀ through per-lane transpose scratch. fma(a, b, c) ==
-/// fma(b, a, c) bit-exactly, so this equals the dense
-/// gemm(x, w, y, /*trans_a=*/false, /*trans_b=*/true) reference.
+/// Y[n, rows] = X[n, cols] @ Wᵀ — the Linear forward. A dense layout runs
+/// gemm(x, w, y, /*trans_a=*/false, /*trans_b=*/true). A CSR layout runs the
+/// CSR conv kernel as a 1×1 conv over Xᵀ (plane [cols, n], patch row r at
+/// offset r·n, one output row of n positions) into a transposed Yᵀ, both on
+/// scratch, counting gemm.sparse_calls; fma(a, b, c) == fma(b, a, c)
+/// bit-exactly, so it equals the dense reference for any RP_THREADS and
+/// RP_SIMD. Throws std::invalid_argument when cols·n overflows the kernel's
+/// 32-bit plane offsets.
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
 
 /// Implicit-GEMM conv forward of one sample (tensor/gemm.hpp ConvPlan) for

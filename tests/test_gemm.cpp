@@ -58,16 +58,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmParam{7, 13, 7, true, true}, GemmParam{64, 27, 64, false, false},
                       GemmParam{1, 100, 1, false, true}));
 
-TEST(Gemm, AlphaBetaSemantics) {
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{2, 3}, rng);
-  Tensor b = Tensor::randn(Shape{3, 2}, rng);
-  Tensor c = Tensor::full(Shape{2, 2}, 1.0f);
-  Tensor ref = naive_matmul(a, b, false, false);
-  gemm(a, b, c, false, false, 2.0f, 3.0f);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(c[i], 2.0f * ref[i] + 3.0f, 1e-4f);
-}
-
 TEST(Gemm, BetaOneAccumulates) {
   Rng rng(2);
   Tensor a = Tensor::randn(Shape{2, 2}, rng);
@@ -75,7 +65,7 @@ TEST(Gemm, BetaOneAccumulates) {
   Tensor c(Shape{2, 2});
   gemm(a, b, c);
   Tensor once = c;
-  gemm(a, b, c, false, false, 1.0f, 1.0f);
+  gemm(a, b, c, false, false, /*accumulate=*/true);
   for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(c[i], 2.0f * once[i], 1e-4f);
 }
 
@@ -133,34 +123,36 @@ TEST(GemmDeterminism, ParallelMatchesSerialBitExact) {
   }
 }
 
-/// The beta pre-pass is chunked across lanes too; scaling must stay
-/// bit-identical for accumulating (beta=1), scaling, and zeroing calls.
+/// The zeroing pre-pass is chunked across lanes too; accumulating and
+/// overwriting calls must both stay bit-identical to serial.
 TEST(GemmDeterminism, BetaPathsMatchSerialBitExact) {
   ThreadGuard guard;
   Rng rng(99);
   Tensor a = Tensor::randn(Shape{130, 70}, rng);
   Tensor b = Tensor::randn(Shape{70, 190}, rng);
-  for (const float beta : {0.0f, 0.5f, 1.0f}) {
+  for (const bool accumulate : {false, true}) {
     Tensor c1 = Tensor::full(Shape{130, 190}, 0.25f);
     Tensor c8 = c1;
     parallel::set_num_threads(1);
-    gemm(a, b, c1, false, false, 1.5f, beta);
+    gemm(a, b, c1, false, false, accumulate);
     parallel::set_num_threads(8);
-    gemm(a, b, c8, false, false, 1.5f, beta);
+    gemm(a, b, c8, false, false, accumulate);
     ASSERT_EQ(std::memcmp(c1.data().data(), c8.data().data(),
                           static_cast<size_t>(c1.numel()) * sizeof(float)),
               0)
-        << "beta=" << beta;
+        << "accumulate=" << accumulate;
   }
 }
 
-/// k == 0 contributes nothing but must still apply the beta scale to C
-/// (BLAS semantics), and empty C must stay a no-op.
+/// k == 0 contributes nothing: an overwriting call still zeroes C, an
+/// accumulating one leaves it as it was, and empty C stays a no-op.
 TEST(Gemm, EmptyShapesKeepBetaSemantics) {
   Tensor a(Shape{2, 0}), b(Shape{0, 3});
   Tensor c = Tensor::full(Shape{2, 3}, 2.0f);
-  gemm(a, b, c, false, false, 1.0f, 0.5f);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 1.0f);
+  gemm(a, b, c, false, false, /*accumulate=*/true);
+  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 2.0f);
+  gemm(a, b, c);
+  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 0.0f);
 
   Tensor a0(Shape{0, 4}), b0(Shape{4, 3}), c0(Shape{0, 3});
   EXPECT_NO_THROW(gemm(a0, b0, c0));

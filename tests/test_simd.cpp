@@ -64,7 +64,6 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
   for (const simd::Kernels* t : {simd::avx2_kernels(), simd::neon_kernels()}) {
     if (t == nullptr) continue;
     EXPECT_NE(t->gemm_panel, nullptr);
-    EXPECT_NE(t->csr_gemm, nullptr);
     EXPECT_NE(t->conv_dense, nullptr);
     EXPECT_NE(t->conv_csr, nullptr);
     EXPECT_NE(t->relu, nullptr);
@@ -74,7 +73,6 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
     EXPECT_NE(t->add_scalar, nullptr);
     EXPECT_NE(t->scale, nullptr);
     EXPECT_NE(t->div_scalar, nullptr);
-    EXPECT_NE(t->bias_add, nullptr);
     EXPECT_NE(t->clamp, nullptr);
     EXPECT_NE(t->reduce_max, nullptr);
     EXPECT_NE(t->reduce_abs_max, nullptr);
@@ -97,26 +95,24 @@ TEST(SimdGemm, ScalarVsSimdBitExact) {
       {64, 64, 64},    // exact multiple of the 64-wide tier
   };
   for (const auto& [m, k, n] : shapes) {
-    for (const float alpha : {1.0f, 2.5f}) {
-      for (const float beta : {0.0f, 0.5f, 1.0f}) {
-        Rng rng(static_cast<uint64_t>(m * 7919 + k * 131 + n * 17) + 100);
-        Tensor a = Tensor::randn(Shape{m, k}, rng);
-        // Pruned rows and scattered zeros exercise the zero-skip in every
-        // tier, including tails.
-        for (int64_t j = 0; j < k; ++j) a.at(m / 2, j) = 0.0f;
-        for (int64_t i = 0; i < m; i += 3) a.at(i, k / 2) = 0.0f;
-        Tensor b = Tensor::randn(Shape{k, n}, rng);
-        Tensor c0 = Tensor::randn(Shape{m, n}, rng);
-        Tensor c1 = c0;
+    for (const bool accumulate : {false, true}) {
+      Rng rng(static_cast<uint64_t>(m * 7919 + k * 131 + n * 17) + 100);
+      Tensor a = Tensor::randn(Shape{m, k}, rng);
+      // Pruned rows and scattered zeros exercise the zero-skip in every
+      // tier, including tails.
+      for (int64_t j = 0; j < k; ++j) a.at(m / 2, j) = 0.0f;
+      for (int64_t i = 0; i < m; i += 3) a.at(i, k / 2) = 0.0f;
+      Tensor b = Tensor::randn(Shape{k, n}, rng);
+      Tensor c0 = Tensor::randn(Shape{m, n}, rng);
+      Tensor c1 = c0;
 
-        simd::force(simd::Isa::kScalar);
-        gemm(a, b, c0, false, false, alpha, beta);
-        simd::reset();
-        gemm(a, b, c1, false, false, alpha, beta);
+      simd::force(simd::Isa::kScalar);
+      gemm(a, b, c0, false, false, accumulate);
+      simd::reset();
+      gemm(a, b, c1, false, false, accumulate);
 
-        ASSERT_TRUE(bits_equal(c0, c1)) << "m=" << m << " k=" << k << " n=" << n
-                                        << " alpha=" << alpha << " beta=" << beta;
-      }
+      ASSERT_TRUE(bits_equal(c0, c1))
+          << "m=" << m << " k=" << k << " n=" << n << " accumulate=" << accumulate;
     }
   }
 }
@@ -205,11 +201,6 @@ TEST(SimdVops, ScalarVsSimdBitExact) {
     run_pair([&] {
       Tensor t = base;
       simd::div_scalar(t.data().data(), 0.9f, n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t(Shape{n});
-      simd::bias_add(t.data().data(), base.data().data(), -0.4f, n);
       return t;
     });
     run_pair([&] {

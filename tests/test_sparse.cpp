@@ -1,7 +1,7 @@
 // Sparse execution engine suite (DESIGN.md §6 "Sparse execution"). The
 // contract under test: compiled dense / CSR layouts reconstruct the dense
-// weight bit-for-bit, the sparse×dense kernels are memcmp-identical to the
-// dense reference across the full RP_SPARSE × RP_SIMD × RP_THREADS matrix,
+// weight bit-for-bit, the Linear entry is memcmp-identical to the dense
+// reference across the full RP_SPARSE × RP_SIMD × RP_THREADS matrix,
 // and the obs counters observe the sparse path without perturbing a single
 // bit.
 
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -41,9 +42,10 @@ struct ThreadGuard {
 };
 
 bool bits_equal(const Tensor& a, const Tensor& b) {
+  // An empty tensor's data() may be null, which memcmp must not receive.
   return a.shape() == b.shape() &&
-         std::memcmp(a.data().data(), b.data().data(),
-                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+         (a.numel() == 0 || std::memcmp(a.data().data(), b.data().data(),
+                                        static_cast<size_t>(a.numel()) * sizeof(float)) == 0);
 }
 
 /// Random matrix pruned unstructured to roughly `density`, with row
@@ -69,6 +71,48 @@ const std::pair<int64_t, int64_t> kShapes[] = {
     {10, 40},  // wide
     {64, 64},  // square
 };
+
+/// Batch sizes for the Linear entry: empty, single, below / at / above the
+/// vector widths, and one wider than the scalar conv kernel's 2048-float pass.
+const int64_t kBatches[] = {0, 1, 4, 9, 33, 2100};
+
+/// Memcmps the Linear entry rhs_matmul_into(sw, x) against `ref` under
+/// RP_THREADS {1, 4} × {scalar, dispatched}.
+void expect_linear_bits(const sparse::SparseWeight& sw, const Tensor& x, const Tensor& ref) {
+  for (const bool scalar : {true, false}) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(sparse::layout_name(sw.layout)) + " n=" +
+                   std::to_string(x.size(0)) + " RP_SIMD=" + (scalar ? "off" : "auto") +
+                   " RP_THREADS=" + std::to_string(threads));
+      if (scalar) {
+        simd::force(simd::Isa::kScalar);
+      } else {
+        simd::reset();
+      }
+      parallel::set_num_threads(threads);
+      Tensor y = Tensor::full(Shape{x.size(0), sw.rows}, -1.0f);  // every output is written
+      sparse::rhs_matmul_into(sw, x, y);
+      EXPECT_TRUE(bits_equal(y, ref));
+    }
+  }
+}
+
+/// The Linear entry for weight w [out, in] against the dense reference
+/// gemm(x, w, y, false, true), for every batch size in kBatches under both
+/// forced CSR and auto (dense at high density, CSR below), across
+/// RP_THREADS × RP_SIMD.
+void expect_linear_matches_dense(const Tensor& w, uint64_t seed) {
+  for (const int64_t n : kBatches) {
+    Rng rng(seed + static_cast<uint64_t>(n));
+    const Tensor x = Tensor::randn(Shape{n, w.size(1)}, rng);
+    Tensor ref(Shape{n, w.size(0)});
+    gemm(x, w, ref, /*trans_a=*/false, /*trans_b=*/true);
+    for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+      SCOPED_TRACE(sparse::mode_name(mode));
+      expect_linear_bits(sparse::compile(w, mode), x, ref);
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // Mode resolution
@@ -110,9 +154,11 @@ TEST(SparseAnalyze, AutoPicksCsrForUnstructuredLowDensity) {
 
 TEST(SparseAnalyze, AutoPicksCsrForFilterPrunedRows) {
   // FT-style structured sparsity: whole output rows (filters) zeroed, one
-  // in four kept, so density is exactly 0.25. Auto plans CSR, and the CSR
-  // product is memcmp-identical to the dense reference.
-  const int64_t rows = 32, cols = 72, n = 33;
+  // in four kept, so density is exactly 0.25. Auto plans CSR, and the
+  // Linear product is memcmp-identical to the dense reference.
+  SimdGuard simd_guard;
+  ThreadGuard thread_guard;
+  const int64_t rows = 32, cols = 72;
   Rng rng(3);
   Tensor w = Tensor::randn(Shape{rows, cols}, rng);
   for (int64_t i = 0; i < rows; ++i) {
@@ -123,13 +169,7 @@ TEST(SparseAnalyze, AutoPicksCsrForFilterPrunedRows) {
   EXPECT_EQ(plan.layout, sparse::Layout::kCsr);
   EXPECT_EQ(plan.nnz, rows / 4 * cols);
   EXPECT_DOUBLE_EQ(plan.density, 0.25);
-
-  const Tensor b = Tensor::randn(Shape{cols, n}, rng);
-  Tensor ref(Shape{rows, n});
-  gemm(w, b, ref);
-  Tensor c(Shape{rows, n});
-  sparse::matmul_into(sparse::compile(w, sparse::Mode::kAuto), b, c);
-  EXPECT_TRUE(bits_equal(c, ref));
+  expect_linear_matches_dense(w, 30);
 }
 
 TEST(SparseAnalyze, ForcedModesOverrideTheMeasurement) {
@@ -173,66 +213,68 @@ TEST(SparseRoundTrip, AllZeroMatrixCompilesToEmptySparseForms) {
 // ---------------------------------------------------------------------------
 // Kernels: memcmp-identical to the dense reference
 
+// The Linear entry (rhs_matmul_into) is the only matrix-product entry of the
+// engine; its CSR layout runs the CSR conv kernel as a 1×1 conv.
+
 TEST(SparseMatmul, MatchesDenseGemmBitExactAcrossLayoutsAndThreads) {
   SimdGuard simd_guard;
   ThreadGuard thread_guard;
   uint64_t seed = 40;
   for (const auto& [rows, cols] : kShapes) {
     for (const double density : kDensities) {
+      SCOPED_TRACE(std::to_string(rows) + "x" + std::to_string(cols) + " @ " +
+                   std::to_string(density));
       const Tensor w = make_pruned(rows, cols, density, seed++);
-      const int64_t n = 33;  // misses every vector width
-      Rng rng(seed++);
-      const Tensor b = Tensor::randn(Shape{cols, n}, rng);
-      Tensor ref(Shape{rows, n});
-      gemm(w, b, ref);
-      // auto covers the dense layout at high density and CSR below it.
-      for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
-        for (const int threads : {1, 4}) {
-          SCOPED_TRACE(std::string(sparse::mode_name(mode)) + " threads=" +
-                       std::to_string(threads) + " " + std::to_string(rows) + "x" +
-                       std::to_string(cols) + " @ " + std::to_string(density));
-          parallel::set_num_threads(threads);
-          const auto sw = sparse::compile(w, mode);
-          Tensor c(Shape{rows, n});
-          sparse::matmul_into(sw, b, c);
-          EXPECT_TRUE(bits_equal(c, ref));
-        }
-      }
+      expect_linear_matches_dense(w, 1000 * seed++);
     }
   }
 }
 
 TEST(SparseMatmul, RhsOrientationMatchesLinearReferenceBitExact) {
+  // A ragged Linear weight [out, in] and resnet8's 64 -> 10 classifier head
+  // at the densities its prune-retrain cycles reach.
   SimdGuard simd_guard;
   ThreadGuard thread_guard;
-  const Tensor w = make_pruned(24, 40, 0.1, 77);  // Linear weight [out, in]
-  Rng rng(78);
-  const Tensor x = Tensor::randn(Shape{9, 40}, rng);  // batch of 9
-  Tensor ref(Shape{9, 24});
-  gemm(x, w, ref, /*trans_a=*/false, /*trans_b=*/true);
-  for (const int threads : {1, 3}) {
-    SCOPED_TRACE("threads=" + std::to_string(threads));
-    parallel::set_num_threads(threads);
-    const auto sw = sparse::compile(w, sparse::Mode::kCsr);
-    Tensor y(Shape{9, 24});
-    sparse::rhs_matmul_into(sw, x, y);
-    EXPECT_TRUE(bits_equal(y, ref));
+  expect_linear_matches_dense(make_pruned(24, 40, 0.1, 77), 78);
+  for (const double density : {0.55, 0.17, 0.05}) {
+    SCOPED_TRACE("head @ " + std::to_string(density));
+    expect_linear_matches_dense(make_pruned(10, 64, density, 79), 80);
   }
 }
 
 TEST(SparseMatmul, ScalarVsDispatchedKernelsBitExact) {
   SimdGuard simd_guard;
-  const Tensor w = make_pruned(33, 65, 0.2, 90);  // ragged in rows and cols
-  Rng rng(91);
-  const Tensor b = Tensor::randn(Shape{65, 57}, rng);
-  const auto sw = sparse::compile(w, sparse::Mode::kCsr);
-  simd::force(simd::Isa::kScalar);
-  Tensor c_scalar(Shape{33, 57});
-  sparse::matmul_into(sw, b, c_scalar);
-  simd::reset();
-  Tensor c_auto(Shape{33, 57});
-  sparse::matmul_into(sw, b, c_auto);
-  EXPECT_TRUE(bits_equal(c_scalar, c_auto));
+  ThreadGuard thread_guard;
+  expect_linear_matches_dense(make_pruned(33, 65, 0.2, 90), 91);  // ragged in rows and cols
+}
+
+TEST(SparseMatmul, StoredZerosSkipNonFiniteInputs) {
+  // A CSR weight may hold explicit zeros (a caller can zero stored values
+  // after compiling). The kernel skips them like the dense zero skip, so
+  // NaN / ±Inf inputs in a column whose stored weights are all ±0 never
+  // reach an output: the result equals the dense reference on finite input.
+  SimdGuard simd_guard;
+  ThreadGuard thread_guard;
+  const int64_t rows = 12, cols = 20, p = 7;
+  Tensor w = make_pruned(rows, cols, 0.3, 95);
+  for (int64_t i = 0; i < rows; ++i) w.at(i, p) = 1.0f;  // stored in every row
+  sparse::SparseWeight sw = sparse::compile(w, sparse::Mode::kCsr);
+  for (size_t t = 0; t < sw.values.size(); ++t) {
+    if (sw.col_idx[t] == p) sw.values[t] = t % 2 == 0 ? 0.0f : -0.0f;
+  }
+  const Tensor w0 = sw.to_dense();
+  const float kNonFinite[] = {std::numeric_limits<float>::quiet_NaN(),
+                              std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity()};
+  for (const int64_t n : kBatches) {
+    Rng rng(96 + static_cast<uint64_t>(n));
+    const Tensor x = Tensor::randn(Shape{n, cols}, rng);
+    Tensor ref(Shape{n, rows});
+    gemm(x, w0, ref, /*trans_a=*/false, /*trans_b=*/true);
+    Tensor bad = x;
+    for (int64_t i = 0; i < n; ++i) bad.at(i, p) = kNonFinite[i % 3];
+    expect_linear_bits(sw, bad, ref);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -325,8 +325,8 @@ class TokenRules {
   /// R9: sparse-dispatch bypass. A direct gemm(...) call in network or
   /// experiment code skips the compile-to-sparse engine (tensor/sparse.hpp),
   /// so pruned layers silently run dense and the prune-ratio speedup
-  /// evaporates. Forward paths dispatch through sparse::matmul_into /
-  /// rhs_matmul_into (or the layer's sparse_ flag); training backward paths
+  /// evaporates. Forward paths dispatch through sparse::rhs_matmul_into /
+  /// sparse::conv_forward (or the layer's sparse_ flag); training backward paths
   /// and deliberate dense fallbacks carry an allow(R9) stating why.
   void rule_r9() {
     if (!in_dirs({"src/nn/", "src/core/"})) return;
