@@ -213,6 +213,43 @@ void BM_ConvBackwardSimd(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvBackwardSimd)->Arg(0)->Arg(1)->UseRealTime();
 
+/// Conv backward over resnet8's nine conv geometries (16×16 synthetic
+/// input, base width 8), one per arg in network order: a training batch of
+/// 64 at one thread, dispatched ISA. FLOPs count both gradients, dW and dx
+/// (2 × 2 · out_c · patch · out_hw per sample).
+struct Resnet8Conv {
+  int64_t in_c, out_c, k, stride, pad, hw;
+  const char* name;
+};
+constexpr Resnet8Conv kResnet8Convs[] = {
+    {3, 8, 3, 1, 1, 16, "stem 3->8 k3 16x16"},     {8, 8, 3, 1, 1, 16, "s1.b1.1 8->8 k3 16x16"},
+    {8, 8, 3, 1, 1, 16, "s1.b1.2 8->8 k3 16x16"},  {8, 16, 3, 2, 1, 16, "s2.b1.1 8->16 k3 s2 16x16"},
+    {16, 16, 3, 1, 1, 8, "s2.b1.2 16->16 k3 8x8"}, {8, 16, 1, 2, 0, 16, "s2.b1.proj 8->16 k1 s2 16x16"},
+    {16, 32, 3, 2, 1, 8, "s3.b1.1 16->32 k3 s2 8x8"}, {32, 32, 3, 1, 1, 4, "s3.b1.2 32->32 k3 4x4"},
+    {16, 32, 1, 2, 0, 8, "s3.b1.proj 16->32 k1 s2 8x8"},
+};
+
+void BM_ConvBackwardResnet8(benchmark::State& state) {
+  const Resnet8Conv& g = kResnet8Convs[state.range(0)];
+  constexpr int64_t kBatch = 64;
+  parallel::set_num_threads(1);
+  Rng rng(12);
+  nn::Conv2d conv("c", g.in_c, g.out_c, g.k, g.stride, g.pad, g.hw, g.hw, false, rng);
+  Tensor x = Tensor::randn(Shape{kBatch, g.in_c, g.hw, g.hw}, rng);
+  Tensor y = conv.forward(x, true);
+  Tensor dy = Tensor::randn(y.shape(), rng);
+  for (auto _ : state) {
+    Tensor dx = conv.backward(dy);
+    benchmark::DoNotOptimize(dx.data().data());
+  }
+  parallel::set_num_threads(0);
+  state.SetLabel(std::string(g.name) + ", n64 @ 1 thread, " + simd::isa_name(simd::active()));
+  const double patch = static_cast<double>(g.in_c * g.k * g.k);
+  report_flops(state, 2.0 * 2.0 * kBatch * static_cast<double>(g.out_c) * patch *
+                          static_cast<double>(y.size(2) * y.size(3)));
+}
+BENCHMARK(BM_ConvBackwardResnet8)->DenseRange(0, 8)->UseRealTime();
+
 /// The acceptance benchmark for the compile-to-sparse engine: an n³ Linear
 /// product y = x·wᵀ (rp::sparse::rhs_matmul_into, the engine's matrix
 /// entry) at one thread with the weight unstructured-pruned to a target

@@ -15,7 +15,8 @@
 # corrupt-variant quarantine-and-drop path), then a bench-provenance gate
 # (the micro-ops and serving bench binaries must self-report a true
 # Release/NDEBUG build — a debug timing must never reach the committed perf
-# record), then the
+# record), then an end-to-end benchmark smoke gate (every bench/e2e
+# workload path at toy scale, with its output checks), then the
 # ASan+UBSan build and the same suite under it (also with SIMD dispatched, so
 # the sanitizers cover the intrinsic kernels, and with the scratch pool
 # poisoning its free-listed blocks). Exits non-zero on the first failure.
@@ -31,7 +32,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
 
-echo "== [1/7] Release build + tests (warnings are errors, SIMD dispatched, RP_SPARSE=auto) =="
+echo "== [1/8] Release build + tests (warnings are errors, SIMD dispatched, RP_SPARSE=auto) =="
 cmake -B build -S . -DRP_WERROR=ON
 cmake --build build -j "$JOBS"
 RP_SPARSE=auto ctest --test-dir build --output-on-failure -j "$JOBS"
@@ -45,7 +46,7 @@ RP_LINT_JSON="${RP_LINT_JSON:-build/rp_lint_findings.json}"
 python3 -c "import json,sys; n=len(json.load(open(sys.argv[1]))); print(f'lint archive OK: {n} record(s) ->', sys.argv[1])" \
   "$RP_LINT_JSON"
 
-echo "== [2/7] Same suite with RP_SIMD=off (scalar fallback) and RP_SPARSE=off (dense path) =="
+echo "== [2/8] Same suite with RP_SIMD=off (scalar fallback) and RP_SPARSE=off (dense path) =="
 RP_SIMD=off ctest --test-dir build --output-on-failure -j "$JOBS"
 RP_SPARSE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 # RP_SPARSE=csr compiles every layer to CSR, so the CSR conv kernel runs on
@@ -56,7 +57,7 @@ RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Conv|Spa
 RP_SIMD=off RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" \
   -R 'Conv|Sparse|Serve'
 
-echo "== [3/7] Observability smoke: tracing on, results unchanged, trace is JSON =="
+echo "== [3/8] Observability smoke: tracing on, results unchanged, trace is JSON =="
 # One serial pass over a results-bearing slice of the suite with RP_TRACE
 # set. Each test process rewrites the shared path tmp-then-rename, so the
 # final file is a whole trace from the last process — check it parses.
@@ -67,7 +68,7 @@ python3 -c "import json,sys; json.load(open(sys.argv[1])); print('trace OK:', sy
   "$RP_TRACE_FILE"
 rm -f "$RP_TRACE_FILE"
 
-echo "== [4/7] Fault injection: transient faults absorbed, crashes recovered =="
+echo "== [4/8] Fault injection: transient faults absorbed, crashes recovered =="
 # Storage-heavy slice under a periodic transient-fault schedule: every third
 # write and every fifth read raises an injected fault that durable_write /
 # read_file must absorb by retrying. Serial, so the counter-indexed schedule
@@ -84,7 +85,7 @@ ctest --test-dir build --output-on-failure -R 'FaultMatrix' -j 1
 # its own RP_FAULTS schedule.
 ctest --test-dir build --output-on-failure -R 'SchedTest' -j 1
 
-echo "== [5/7] Serving smoke: routing policy, queue lifecycle, corrupt-variant drop =="
+echo "== [5/8] Serving smoke: routing policy, queue lifecycle, corrupt-variant drop =="
 # Full rp::serve suite serially: registry load order, potential-aware
 # routing, admission/drain lifecycle, the bit-identity proof vs direct
 # predict across RP_THREADS x RP_SPARSE, and the corrupt-variant
@@ -92,7 +93,7 @@ echo "== [5/7] Serving smoke: routing policy, queue lifecycle, corrupt-variant d
 # RP_FAULTS machinery and asserts quarantine-and-drop, never crash).
 ctest --test-dir build --output-on-failure -R 'Serve' -j 1
 
-echo "== [6/7] Bench provenance: bench binaries must be true Release builds =="
+echo "== [6/8] Bench provenance: bench binaries must be true Release builds =="
 # The committed BENCH_micro_ops.json is only meaningful from an NDEBUG build.
 # Two context keys must BOTH read "release": rp_build_type (the app's own
 # NDEBUG — catches an application-level -DNDEBUG drop, which has happened)
@@ -134,8 +135,15 @@ print("serving bench provenance OK: rp_build_type=release library_build_type=rel
 XEOF
 rm -f "$SERVE_PROBE"
 
+echo "== [7/8] End-to-end benchmark smoke: every workload path and its output checks =="
+# bench/e2e/run.py --smoke builds bench_e2e into build-e2e/ and runs each
+# workload (family_cold, shift_grid, serve_mixed) untraced and traced at toy
+# scale, failing on any workload error or failed output check (~16 s after
+# the build), so a change that breaks a benchmark workload fails here.
+python3 bench/e2e/run.py --smoke
+
 if [[ "${RP_CHECK_SKIP_ASAN:-0}" != "1" ]]; then
-  echo "== [7/7] ASan+UBSan build + tests (scratch pool poisons released blocks) =="
+  echo "== [8/8] ASan+UBSan build + tests (scratch pool poisons released blocks) =="
   cmake -B build-asan -S . -DRP_SANITIZE=address,undefined -DRP_WERROR=ON
   cmake --build build-asan -j "$JOBS"
   # Full suite once: the lane pool ASan-poisons every block it free-lists,

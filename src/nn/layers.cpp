@@ -46,23 +46,35 @@ int64_t sample_grain(int64_t n) {
 /// groups [c0, c0 + G): groups of four, then one tail group of 1–3. BatchNorm
 /// runs each group's per-channel double sums as G independent chains, so the
 /// adds overlap in the pipeline while every channel keeps its own serial
-/// (sample, pixel) summation order.
+/// (sample, pixel) summation order. With `across_lanes` the groups run in
+/// parallel; each one writes only its own channels, so any lane count is
+/// bit-identical.
 template <typename F>
-void for_channel_groups(int64_t channels, F&& f) {
-  int64_t c0 = 0;
-  for (; c0 + 4 <= channels; c0 += 4) f(std::integral_constant<int, 4>{}, c0);
-  switch (channels - c0) {
-    case 3:
-      f(std::integral_constant<int, 3>{}, c0);
-      break;
-    case 2:
-      f(std::integral_constant<int, 2>{}, c0);
-      break;
-    case 1:
-      f(std::integral_constant<int, 1>{}, c0);
-      break;
-    default:
-      break;
+void for_channel_groups(int64_t channels, bool across_lanes, F&& f) {
+  auto groups = [&](int64_t g0, int64_t g1) {
+    for (int64_t c0 = 4 * g0; c0 < std::min(channels, 4 * g1); c0 += 4) {
+      switch (std::min<int64_t>(4, channels - c0)) {
+        case 4:
+          f(std::integral_constant<int, 4>{}, c0);
+          break;
+        case 3:
+          f(std::integral_constant<int, 3>{}, c0);
+          break;
+        case 2:
+          f(std::integral_constant<int, 2>{}, c0);
+          break;
+        default:
+          f(std::integral_constant<int, 1>{}, c0);
+          break;
+      }
+    }
+  };
+  const int64_t n = (channels + 3) / 4;
+  if (across_lanes) {
+    // rp-lint: allow(R7) per-group loop: each group reduces 4 channels over the whole batch
+    parallel::parallel_for(0, n, 1, groups);
+  } else {
+    groups(0, n);
   }
 }
 
@@ -160,8 +172,7 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 // rp-lint: hot — marks the name-merged `backward` node: every layer backward
 Tensor Conv2d::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
-  const int64_t oh = plan_.g.out_h(), ow = plan_.g.out_w();
-  const int64_t oplane = oh * ow;
+  const int64_t oplane = plan_.oh * plan_.ow;
   const int64_t patch = plan_.g.patch();
   const int64_t wsize = out_c_ * patch;
   const int64_t isz = plan_.g.in_c * plan_.g.in_h * plan_.g.in_w;
@@ -170,57 +181,57 @@ Tensor Conv2d::backward(const Tensor& dy) {
   Tensor dx = Tensor::scratch(cached_input_.shape());
   float* dxd = dx.data().data();
 
-  // Wᵀ is the A operand of every sample's dcols GEMM: build it once per call
-  // and share it read-only across lanes.
-  Tensor wt = Tensor::scratch(Shape{patch, out_c_});
-  transpose(weight_.value.data().data(), out_c_, patch, wt.data().data());
+  // The input gradient's weight operand: built once per call and shared
+  // read-only across lanes.
+  Tensor wx = Tensor::scratch(Shape{wsize});
+  conv_dx_weight(weight_.value, plan_.g, wx.data().data());
 
-  // Parallel over samples (same recipe as evaluate()): each sample's dW and
-  // db contribution is computed independently — an overwriting GEMM into per-lane
-  // scratch — and stored at its sample index; the fold into the parameter
-  // gradients below runs in fixed sample order. Partial values depend only
-  // on the sample, never on chunking, so gradients are bit-identical for any
-  // RP_THREADS. dx slices are disjoint per sample and folded into in place.
+  // Parallel over samples (same recipe as evaluate()): each sample's dWᵀ and
+  // db contribution is computed independently and stored at its sample
+  // index; the fold into the parameter gradients below runs in fixed sample
+  // order. Partial values depend only on the sample, never on chunking, so
+  // gradients are bit-identical for any RP_THREADS. Each sample overwrites
+  // its own dx slice. Per chunk, the phase planes come zeroed from the lane
+  // pool (fill rewrites only the cells that hold pixels), and dyt holds the
+  // sample's dy transposed for the weight gradient's channel-wide lanes.
   Tensor dw_partial = Tensor::scratch(Shape{n, wsize});
   Tensor db_partial = Tensor::scratch(Shape{use_bias_ ? n * out_c_ : int64_t{0}});
   float* dwp = dw_partial.data().data();
   float* dbp = db_partial.data().data();
 
   parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
-    Tensor padded = Tensor::scratch(Shape{plan_.g.pad > 0 ? plan_.g.padded_size() : int64_t{0}});
-    Tensor dy_n = Tensor::scratch(Shape{out_c_, oplane});
-    Tensor cols_t = Tensor::scratch(Shape{oplane, patch});
-    Tensor dcols = Tensor::scratch(Shape{patch, oplane});
-    Tensor dw_n = Tensor::scratch(Shape{out_c_, patch});
+    Tensor planes = Tensor::scratch(Shape{plan_.plane_size()});
+    Tensor dyt = Tensor::scratch(Shape{oplane, out_c_});
     for (int64_t i = i0; i < i1; ++i) {
-      std::memcpy(dy_n.data().data(), dyd + i * out_c_ * oplane,
-                  static_cast<size_t>(out_c_ * oplane) * sizeof(float));
-      patches_t_from_padded(padded_sample(xd + i * isz, padded), plan_.g, cols_t.data().data());
-      // dW_i = dy_n @ colsᵀ
-      // rp-lint: allow(R9) training backward: gradients need the dense weight
-      gemm(dy_n, cols_t, dw_n);
-      std::memcpy(dwp + i * wsize, dw_n.data().data(),
-                  static_cast<size_t>(wsize) * sizeof(float));
-      // dcols = Wᵀ @ dy_n, folded straight into this sample's (zeroed) dx slice
-      // rp-lint: allow(R9) training backward: gradients need the dense weight
-      gemm(wt, dy_n, dcols);
-      fold_patches_add(dcols.data().data(), plan_.g, dxd + i * isz);
+      const float* dyi = dyd + i * out_c_ * oplane;
+      transpose(dyi, out_c_, oplane, dyt.data().data());
+      conv_grad_weight(plan_, plan_.fill(xd + i * isz, planes.data().data()), dyt.data().data(),
+                       out_c_, dwp + i * wsize);
+      conv_grad_input(plan_, wx.data().data(), out_c_, dyi, dxd + i * isz);
 
       if (use_bias_) {
-        const float* d = dy_n.data().data();
         for (int64_t c = 0; c < out_c_; ++c) {
           float s = 0.0f;
-          for (int64_t p = 0; p < oplane; ++p) s += d[c * oplane + p];
+          for (int64_t p = 0; p < oplane; ++p) s += dyi[c * oplane + p];
           dbp[i * out_c_ + c] = s;
         }
       }
     }
   });
 
+  // The partials are dWᵀ: fold them into the gradient transposed, each
+  // element in sample order (disjoint element ranges per lane), and
+  // transpose back.
+  Tensor gt = Tensor::scratch(Shape{patch, out_c_});
+  float* gtd = gt.data().data();
   float* wg = weight_.grad.data().data();
-  for (int64_t i = 0; i < n; ++i) {
-    simd::add(wg, dwp + i * wsize, wsize);
-  }
+  transpose(wg, out_c_, patch, gtd);
+  const int64_t fold_grain =
+      std::max<int64_t>(4096, wsize / (4 * static_cast<int64_t>(parallel::num_threads())));
+  parallel::parallel_for(0, wsize, fold_grain, [&](int64_t e0, int64_t e1) {
+    for (int64_t i = 0; i < n; ++i) simd::add(gtd + e0, dwp + i * wsize + e0, e1 - e0);
+  });
+  transpose(gtd, patch, out_c_, wg);
   if (use_bias_) {
     float* bg = bias_.grad.data().data();
     for (int64_t i = 0; i < n; ++i) {
@@ -228,12 +239,6 @@ Tensor Conv2d::backward(const Tensor& dy) {
     }
   }
   return dx;
-}
-
-const float* Conv2d::padded_sample(const float* image, Tensor& padded) const {
-  if (plan_.g.pad == 0) return image;  // the image is its own padded plane
-  pad_image(image, plan_.g, padded.data().data());
-  return padded.data().data();
 }
 
 void Conv2d::collect_params(std::vector<Parameter*>& out) {
@@ -300,8 +305,12 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   if (sparse_) {
     sparse::rhs_matmul_into(sparse_w_, x, y);
   } else {
+    // Yᵀ = W @ Xᵀ, so gemm's zero skip tests the weights, as the conv and
+    // CSR kernels do: NaN or Inf input under a zero weight never reaches y.
+    Tensor yt = Tensor::scratch(Shape{out_, n});
     // rp-lint: allow(R9) dense path when sparse is off
-    gemm(x, weight_.value, y, /*trans_a=*/false, /*trans_b=*/true);
+    gemm(weight_.value, x, yt, /*trans_a=*/false, /*trans_b=*/true);
+    transpose(yt.data().data(), out_, n, y.data().data());
   }
   if (use_bias_) {
     float* yd = y.data().data();
@@ -405,7 +414,9 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   float* xh = cached_xhat_.data().data();
   float* yd = y.data().data();
 
-  for_channel_groups(c_, [&](auto group, int64_t c0) {
+  // A training batch runs its channel groups across lanes; an eval batch
+  // stays on the calling lane, so serving pays no dispatch.
+  for_channel_groups(c_, train, [&](auto group, int64_t c0) {
     constexpr int G = decltype(group)::value;
     float m[G], v[G];
     if (train) {
@@ -467,7 +478,7 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   const float* xh = cached_xhat_.data().data();
   float* dxd = dx.data().data();
 
-  for_channel_groups(c_, [&](auto group, int64_t c0) {
+  for_channel_groups(c_, /*across_lanes=*/true, [&](auto group, int64_t c0) {
     constexpr int G = decltype(group)::value;
     double sum_dy[G] = {}, sum_dy_xhat[G] = {};
     for (int64_t i = 0; i < n; ++i) {

@@ -9,9 +9,9 @@
 
 namespace rp::nn {
 
-/// 2-D convolution over [N, C, H, W] batches. The forward is an implicit
-/// GEMM over a plan built at construction (tensor/gemm.hpp ConvPlan); the
-/// backward runs patch-matrix GEMMs.
+/// 2-D convolution over [N, C, H, W] batches. The forward and both
+/// gradients are computed straight from the input and dy through a plan
+/// built at construction (tensor/gemm.hpp ConvPlan), with no patch matrix.
 ///
 /// The weight is stored as a [out_c, in_c*k*k] matrix, which is both the
 /// GEMM operand and the row-per-filter layout structured pruners expect.
@@ -41,10 +41,6 @@ class Conv2d final : public Module {
   void add_out_coupled(Parameter* p) { out_coupled_.push_back(p); }
 
  private:
-  /// The sample's zero-padded plane: `image` itself when pad == 0, else
-  /// `padded` (zero-bordered lane scratch) with the image copied inside.
-  const float* padded_sample(const float* image, Tensor& padded) const;
-
   std::string name_;
   ConvPlan plan_;  ///< geometry + implicit-GEMM offsets, validated at construction
   int64_t out_c_;

@@ -90,29 +90,6 @@ int64_t channel_grain(int64_t out_c) {
   return std::max<int64_t>(4, (per + 3) / 4 * 4);
 }
 
-// patches_t_from_padded's body with the kernel size as a template argument
-// where it is known (K > 0), so the k×k receptive-field copy fully unrolls;
-// K == 0 reads the size from the geometry.
-template <int K>
-void patches_t_impl(const float* padded, const ConvGeom& g, float* cols_t) {
-  const int64_t k = K > 0 ? K : g.k;
-  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride, pw = g.padded_w();
-  const int64_t cstride = g.padded_h() * pw;
-  float* out = cols_t;
-  for (int64_t y = 0; y < oh; ++y) {
-    for (int64_t x = 0; x < ow; ++x) {
-      // One output position: its whole receptive field, (c, ki, kj) order.
-      const float* origin = padded + y * s * pw + x * s;
-      for (int64_t c = 0; c < g.in_c; ++c) {
-        const float* src = origin + c * cstride;
-        for (int64_t ki = 0; ki < k; ++ki) {
-          for (int64_t kj = 0; kj < k; ++kj) *out++ = src[ki * pw + kj];
-        }
-      }
-    }
-  }
-}
-
 void check_conv_geometry(const ConvGeom& g, const std::string& who) {
   const char* bad = nullptr;
   if (g.in_c < 1) {
@@ -136,6 +113,18 @@ void check_conv_geometry(const ConvGeom& g, const std::string& who) {
                               "): " + bad);
 }
 
+// Copies one image [in_c, in_h, in_w] into the interior of a zero-padded
+// plane [in_c, in_h + 2p, in_w + 2p], never writing the border.
+void pad_image(const float* image, const ConvGeom& g, float* padded) {
+  const int64_t pw = g.padded_w();
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    const float* src = image + c * g.in_h * g.in_w;
+    float* dst = padded + (c * g.padded_h() + g.pad) * pw + g.pad;
+    for (int64_t y = 0; y < g.in_h; ++y) {
+      std::memcpy(dst + y * pw, src + y * g.in_w, static_cast<size_t>(g.in_w) * sizeof(float));
+    }
+  }
+}
 
 }  // namespace
 
@@ -205,17 +194,6 @@ void transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
   }
 }
 
-void pad_image(const float* image, const ConvGeom& g, float* padded) {
-  const int64_t pw = g.padded_w();
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    const float* src = image + c * g.in_h * g.in_w;
-    float* dst = padded + (c * g.padded_h() + g.pad) * pw + g.pad;
-    for (int64_t y = 0; y < g.in_h; ++y) {
-      std::memcpy(dst + y * pw, src + y * g.in_w, static_cast<size_t>(g.in_w) * sizeof(float));
-    }
-  }
-}
-
 ConvPlan::ConvPlan(const ConvGeom& geom, const std::string& who) : g(geom) {
   check_conv_geometry(g, who);
   const int64_t s = g.stride;
@@ -229,6 +207,23 @@ ConvPlan::ConvPlan(const ConvGeom& geom, const std::string& who) : g(geom) {
   phases = (s == 1 && g.pad == 0) ? 0 : m * m;  // pad 0 at stride 1: read the image in place
   if (m * m * g.in_c * ph_h * ph_w > INT32_MAX) {
     throw std::invalid_argument(who + ": conv input too large for 32-bit plane offsets");
+  }
+  // Phase (a, b) of the input takes kernel row ki from output row
+  // m + (a + pad - ki) / s when s divides a + pad - ki, and columns alike.
+  tap_ptr.push_back(0);
+  for (int64_t a = 0; a < s; ++a) {
+    for (int64_t b = 0; b < s; ++b) {
+      for (int64_t ki = 0; ki < g.k; ++ki) {
+        if ((a + g.pad - ki) % s != 0) continue;
+        for (int64_t kj = 0; kj < g.k; ++kj) {
+          if ((b + g.pad - kj) % s != 0) continue;
+          taps.push_back(simd::ConvTap{static_cast<int32_t>(ki * g.k + kj),
+                                       static_cast<int32_t>((a + g.pad - ki) / s),
+                                       static_cast<int32_t>((b + g.pad - kj) / s)});
+        }
+      }
+      tap_ptr.push_back(static_cast<int32_t>(taps.size()));
+    }
   }
   off.reserve(static_cast<size_t>(g.patch()));
   for (int64_t c = 0; c < g.in_c; ++c) {
@@ -305,47 +300,32 @@ void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, cons
   }
 }
 
-void patches_t_from_padded(const float* padded, const ConvGeom& g, float* cols_t) {
-  switch (g.k) {
-    case 1:
-      patches_t_impl<1>(padded, g, cols_t);
-      break;
-    case 3:
-      patches_t_impl<3>(padded, g, cols_t);
-      break;
-    default:
-      patches_t_impl<0>(padded, g, cols_t);
-      break;
+void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx) {
+  const int64_t out_c = w.size(0), kk = g.k * g.k, patch = g.patch();
+  const float* wd = w.data().data();
+  for (int64_t o = 0; o < out_c; ++o) {
+    for (int64_t c = 0; c < g.in_c; ++c) {
+      for (int64_t t = 0; t < kk; ++t) wx[(t * out_c + o) * g.in_c + c] = wd[o * patch + c * kk + t];
+    }
   }
 }
 
-void fold_patches_add(const float* cols, const ConvGeom& g, float* image) {
-  const int64_t oh = g.out_h(), ow = g.out_w(), s = g.stride;
-  const float* row = cols;
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    float* plane = image + c * g.in_h * g.in_w;
-    for (int64_t ki = 0; ki < g.k; ++ki) {
-      int64_t y0 = 0, y1 = 0;
-      valid_span(ki - g.pad, g.in_h, s, oh, &y0, &y1);
-      for (int64_t kj = 0; kj < g.k; ++kj, row += oh * ow) {
-        int64_t x0 = 0, x1 = 0;
-        valid_span(kj - g.pad, g.in_w, s, ow, &x0, &x1);
-        const int64_t len = x1 - x0;
-        if (len == 0) continue;
-        for (int64_t y = y0; y < y1; ++y) {
-          // Plain single-rounded adds, like simd::add, inlined: the spans
-          // are too short to amortize an indirect call each.
-          float* __restrict dst = plane + (y * s + ki - g.pad) * g.in_w + (x0 * s + kj - g.pad);
-          const float* __restrict src = row + y * ow + x0;
-          if (s == 1) {
-            for (int64_t x = 0; x < len; ++x) dst[x] += src[x];
-          } else {
-            for (int64_t x = 0; x < len; ++x) dst[x * s] += src[x];
-          }
-        }
-      }
-    }
-  }
+// rp-lint: hot
+void conv_grad_weight(const ConvPlan& plan, const float* planes, const float* dyt, int64_t out_c,
+                      float* dwt) {
+  obs::count(obs::Counter::kGemmCalls);
+  simd::kernels().conv_dw(simd::ConvDwArgs{planes, plan.off.data(), plan.g.patch(), plan.oh,
+                                           plan.ow, plan.ld(), dyt, out_c, dwt});
+}
+
+// rp-lint: hot
+void conv_grad_input(const ConvPlan& plan, const float* wx, int64_t out_c, const float* dy,
+                     float* dx) {
+  obs::count(obs::Counter::kGemmCalls);
+  const ConvGeom& g = plan.g;
+  simd::kernels().conv_dx(simd::ConvDxArgs{dy, wx, plan.taps.data(), plan.tap_ptr.data(), out_c,
+                                           g.in_c, g.in_h, g.in_w, g.stride, plan.oh, plan.ow,
+                                           dx});
 }
 
 }  // namespace rp

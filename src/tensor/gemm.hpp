@@ -30,9 +30,8 @@ Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false, bool trans
 /// lines; values are copied, never combined, so any tiling is exact.
 void transpose(const float* src, int64_t rows, int64_t cols, float* dst);
 
-/// Geometry of a 2-D convolution; shared by the conv plan, the backward's
-/// patch builders, conv layers, and the FLOP model so they can never
-/// disagree.
+/// Geometry of a 2-D convolution; shared by the conv plan, conv layers, and
+/// the FLOP model so they can never disagree.
 struct ConvGeom {
   int64_t in_c = 0, in_h = 0, in_w = 0;
   int64_t k = 3;       ///< square kernel size
@@ -43,16 +42,15 @@ struct ConvGeom {
   int64_t out_w() const { return (in_w + 2 * pad - k) / stride + 1; }
   /// Rows of the patch matrix = in_c * k * k, ordered (c, ki, kj).
   int64_t patch() const { return in_c * k * k; }
-  /// Extents of one channel of the zero-padded plane the patch builders read.
+  /// Extents of one channel of the zero-padded input.
   int64_t padded_h() const { return in_h + 2 * pad; }
   int64_t padded_w() const { return in_w + 2 * pad; }
-  /// Floats in the whole padded plane, [in_c, padded_h, padded_w].
-  int64_t padded_size() const { return in_c * padded_h() * padded_w(); }
 };
 
 /// Implicit-GEMM plan of one conv geometry, built once per layer: the
-/// forward computes every output straight from a copy of the sample's
-/// zero-padded plane, with no patch matrix.
+/// forward and the weight gradient read every patch element straight from a
+/// copy of the sample's zero-padded plane, and the input gradient gathers
+/// from the output gradient through per-phase taps, with no patch matrix.
 ///
 /// The copy is split by stride phase: phase (a, b) holds padded rows a, a+s,
 /// … and padded columns b, b+s, … of every channel, as a [in_c, ph_h, ph_w]
@@ -74,6 +72,11 @@ struct ConvPlan {
   int64_t ph_h = 0, ph_w = 0;  ///< extent of one channel of one phase
   int64_t phases = 0;          ///< phases built (0 when read in place)
   std::vector<int32_t> off;    ///< [patch] offset of output (0, 0) of each patch row
+  /// Input-gradient taps (simd::ConvTap) of each input phase (a, b), at
+  /// [tap_ptr[a·s + b], tap_ptr[a·s + b + 1]): the kernel taps ki·k + kj
+  /// with ki ≡ a + pad and kj ≡ b + pad (mod s), ascending.
+  std::vector<simd::ConvTap> taps;
+  std::vector<int32_t> tap_ptr;  ///< [s·s + 1]
 
   /// Plane stride between consecutive output rows.
   int64_t ld() const { return ph_w; }
@@ -108,25 +111,30 @@ void conv_zero_masks(const Tensor& w, uint8_t* nz);
 void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, const float* planes,
                   const float* bias, float* y);
 
-// Conv data movement of the backward, raw-pointer form for the layer hot
-// loops. The builders read a zero-padded plane, so no element needs a
-// bounds test; for pad == 0 the padded plane *is* the image and can be read
-// in place.
+/// The input-gradient kernel's weight operand wx [k·k, out_c, in_c] (as
+/// many floats as w), from a dense conv weight w [out_c, patch]: wx[(t·out_c + o)·in_c + c] =
+/// w[o, c·k·k + t]. The weights of one tap and output channel sit side by
+/// side across input channels.
+void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx);
 
-/// Copies one image [in_c, in_h, in_w] into the interior of a padded plane
-/// [in_c, padded_h, padded_w]. The border is never written: a plane that
-/// starts zeroed stays a valid padded plane for every image copied into it.
-void pad_image(const float* image, const ConvGeom& g, float* padded);
+/// Weight gradient of one sample, transposed: dwt[r, o] = Σ_pos dyt[pos, o]
+/// · patch(r, pos) for `planes` from ConvPlan::fill, the output gradient
+/// dyt [out_h·out_w, out_c] and dwt [patch, out_c]. Per element this is the
+/// fma chain `gemm` runs for dy @ colsᵀ on the explicit patch matrix —
+/// positions ascending from +0, terms whose dy is 0 skipped — so results
+/// are bit-identical to it. Counts one gemm.calls.
+void conv_grad_weight(const ConvPlan& plan, const float* planes, const float* dyt, int64_t out_c,
+                      float* dwt);
 
-/// The patch matrix transposed, [out_h*out_w, patch] (row = output position,
-/// column = (c, ki, kj)), from a padded plane: the B operand of the
-/// weight-gradient GEMM dW = dY @ colsᵀ.
-void patches_t_from_padded(const float* padded, const ConvGeom& g, float* cols_t);
-
-/// Adds the fold of a patch-matrix gradient [patch, out_h*out_w] into an
-/// image gradient [in_c, in_h, in_w]. Each pixel receives its contributions
-/// in patch-row order, so folding into a zeroed image is bit-identical to
-/// the textbook col2im.
-void fold_patches_add(const float* cols, const ConvGeom& g, float* image);
+/// Input gradient of one sample: dx [in_c, in_h, in_w] from the output
+/// gradient dy [out_c, out_h, out_w], read in place, and `wx` from
+/// conv_dx_weight. Each pixel is the sum col2im forms when it folds
+/// dcols = Wᵀ @ dy into a zeroed image — +0, plus the contributions of its
+/// patch rows in ascending order, each the chain `gemm` runs over output
+/// channels ascending with zero weights skipped — gathered in registers and
+/// stored once, so results are bit-identical to that fold. Counts one
+/// gemm.calls.
+void conv_grad_input(const ConvPlan& plan, const float* wx, int64_t out_c, const float* dy,
+                     float* dx);
 
 }  // namespace rp

@@ -102,6 +102,128 @@ void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* c
 
 namespace {
 
+// Weight gradient of channels [o, o + w), w <= 8, for patch rows
+// [r, r + R), as a local R × 8 tile the compiler keeps in vector registers.
+// A term whose dy is 0 keeps its accumulator (a select, so the tile
+// vectorizes); the lanes past w read dy as 0 and are never stored.
+template <int R, bool Full>
+void dw_block(const ConvDwArgs& a, int64_t r, int64_t o, int64_t w) {
+  float acc[R][8] = {};
+  int64_t off[R];
+  for (int i = 0; i < R; ++i) off[i] = a.off[r + i];
+  const float* d = a.dyt + o;
+  for (int64_t y = 0; y < a.oh; ++y) {
+    const float* row = a.plane + y * a.ld;
+    for (int64_t x = 0; x < a.ow; ++x, d += a.out_c) {
+      float dv[8] = {};
+      if constexpr (Full) {
+        for (int j = 0; j < 8; ++j) dv[j] = d[j];
+      } else {
+        std::copy(d, d + w, dv);
+      }
+      for (int i = 0; i < R; ++i) {
+        const float v = row[off[i] + x];
+        for (int j = 0; j < 8; ++j) {
+          const float f = std::fma(dv[j], v, acc[i][j]);
+          acc[i][j] = dv[j] != 0.0f ? f : acc[i][j];  // the dy zero skip
+        }
+      }
+    }
+  }
+  for (int i = 0; i < R; ++i) std::copy(acc[i], acc[i] + w, a.dwt + (r + i) * a.out_c + o);
+}
+
+// t[i] for i in [i, i1): one tap's chain over the output channels,
+// fma(w, src[o·oplane + i], ·) from +0 with zero weights skipped, N
+// positions at a time in a local tile the compiler keeps in registers.
+// Returns where it stopped.
+template <int N>
+int64_t dx_chains(const float* w, int64_t cin, int64_t out_c, const float* src, int64_t oplane,
+                  float* t, int64_t i, int64_t i1) {
+  for (; i + N <= i1; i += N) {
+    float tt[N] = {};
+    for (int64_t o = 0; o < out_c; ++o) {
+      const float wv = w[o * cin];
+      if (wv == 0.0f) continue;  // the zero-weight skip
+      const float* p = src + o * oplane + i;
+      for (int j = 0; j < N; ++j) tt[j] = std::fma(wv, p[j], tt[j]);
+    }
+    std::copy(tt, tt + N, t + i);
+  }
+  return i;
+}
+
+}  // namespace
+
+void scalar_conv_dw(const ConvDwArgs& a) {
+  constexpr int kRows = 4;
+  for (int64_t o = 0; o < a.out_c; o += 8) {
+    const int64_t w = std::min<int64_t>(8, a.out_c - o);
+    int64_t r = 0;
+    if (w == 8) {
+      for (; r + kRows <= a.patch; r += kRows) dw_block<kRows, true>(a, r, o, w);
+      for (; r < a.patch; ++r) dw_block<1, true>(a, r, o, w);
+    } else {
+      for (; r + kRows <= a.patch; r += kRows) dw_block<kRows, false>(a, r, o, w);
+      for (; r < a.patch; ++r) dw_block<1, false>(a, r, o, w);
+    }
+  }
+}
+
+// A pass covers grid rows [m0, m1) × columns [q0, q1), at most kConvBuf
+// pixels, several rows only when the grid rows are as long as dy's: then a
+// tap's dy reads for the whole pass are one contiguous run. acc holds the
+// pass's pixel sums, t one tap's chains (dx_chains).
+void scalar_conv_dx(const ConvDxArgs& a) {
+  const int64_t s = a.stride, oplane = a.oh * a.ow, cin = a.in_c;
+  float acc[kConvBuf], t[kConvBuf];
+  for (int64_t ph = 0; ph < s * s; ++ph) {
+    const int64_t pa = ph / s, pb = ph % s;
+    const int64_t mh = (a.in_h - pa + s - 1) / s, qw = (a.in_w - pb + s - 1) / s;
+    const ConvTap* t0 = a.taps + a.tap_ptr[ph];
+    const ConvTap* t1 = a.taps + a.tap_ptr[ph + 1];
+    const int64_t rows = qw == a.ow ? std::max<int64_t>(1, kConvBuf / qw) : 1;
+    const int64_t cols = std::min(qw, kConvBuf);
+    for (int64_t c = 0; c < cin; ++c) {
+      for (int64_t m0 = 0; m0 < mh; m0 += rows) {
+        const int64_t m1 = std::min(mh, m0 + rows);
+        for (int64_t q0 = 0; q0 < qw; q0 += cols) {
+          const int64_t q1 = std::min(qw, q0 + cols), width = q1 - q0;
+          std::fill(acc, acc + (m1 - m0) * width, 0.0f);
+          for (const ConvTap* tap = t0; tap < t1; ++tap) {
+            // The pixels whose output (m + dy, q + dx) lies inside dy.
+            const int64_t ma = std::max(m0, -int64_t{tap->dy});
+            const int64_t mb = std::min(m1, a.oh - tap->dy);
+            const int64_t qa = std::max(q0, -int64_t{tap->dx});
+            const int64_t qb = std::min(q1, a.ow - tap->dx);
+            if (ma >= mb || qa >= qb) continue;
+            // One run from the first such pixel to the last.
+            const int64_t i0 = (ma - m0) * width + (qa - q0);
+            const int64_t i1 = (mb - 1 - m0) * width + (qb - q0);
+            const float* w = a.wx + tap->t * a.out_c * cin + c;
+            const float* src = a.dy + (m0 + tap->dy) * a.ow + q0 + tap->dx;
+            int64_t i = dx_chains<32>(w, cin, a.out_c, src, oplane, t, i0, i1);
+            i = dx_chains<8>(w, cin, a.out_c, src, oplane, t, i, i1);
+            dx_chains<1>(w, cin, a.out_c, src, oplane, t, i, i1);
+            for (int64_t m = ma; m < mb; ++m) {
+              for (int64_t q = qa; q < qb; ++q) {
+                const int64_t j = (m - m0) * width + (q - q0);
+                acc[j] += t[j];
+              }
+            }
+          }
+          for (int64_t m = m0; m < m1; ++m) {
+            float* dst = a.dx + (c * a.in_h + m * s + pa) * a.in_w + pb;
+            for (int64_t q = q0; q < q1; ++q) dst[q * s] = acc[(m - m0) * width + (q - q0)];
+          }
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
 void s_relu(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::max(x[i], 0.0f);
 }
@@ -160,7 +282,7 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kScalarKernels{
-    s_gemm_panel, scalar_conv_dense, scalar_conv_csr,
+    s_gemm_panel, scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
     s_relu,       s_relu_grad,  s_add,        s_mul,
     s_add_scalar, s_scale, s_div_scalar, s_clamp,
     s_reduce_max, s_reduce_abs_max,      s_sgd_step,

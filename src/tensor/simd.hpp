@@ -5,8 +5,8 @@
 
 // Runtime-dispatched SIMD kernels for the handful of hot loops the profiler
 // actually sees: the GEMM panel microkernel, the dense and CSR implicit-GEMM
-// conv kernels, and the elementwise/reduction ops used by layers, the
-// optimizer, and the losses.
+// conv kernels and the conv backward's two gradient kernels, and the
+// elementwise/reduction ops used by layers, the optimizer, and the losses.
 //
 // Contract (DESIGN.md §6): every ISA implementation of a kernel performs the
 // *same per-element arithmetic in the same order* as the scalar fallback.
@@ -34,6 +34,40 @@ struct ConvArgs {
   int64_t ld;           // plane stride between output rows
   const float* bias;    // [out_c] added after the chain, or nullptr for none
   float* y;             // [out_c, oh * ow] output, overwritten
+};
+
+// One sample of the conv weight gradient (tensor/gemm.hpp
+// conv_grad_weight): the forward's planes and offsets, read against the
+// sample's output gradient in transposed layout.
+struct ConvDwArgs {
+  const float* plane;   // the sample's phase planes (ConvPlan::fill)
+  const int32_t* off;   // [patch] plane offset of output (0, 0) per patch row
+  int64_t patch;        // patch rows
+  int64_t oh, ow;       // output extent
+  int64_t ld;           // plane stride between output rows
+  const float* dyt;     // [oh * ow, out_c] output gradient, position-major
+  int64_t out_c;        // output channels
+  float* dwt;           // [patch, out_c] weight gradient, transposed, overwritten
+};
+
+// One tap of an input-gradient phase (tensor/gemm.hpp ConvPlan::taps):
+// kernel tap t = ki·k + kj carries output (m + dy, q + dx) into input pixel
+// (s·m + a, s·q + b) of phase (a, b).
+struct ConvTap {
+  int32_t t, dy, dx;
+};
+
+// One sample of the conv input gradient (tensor/gemm.hpp conv_grad_input).
+// Input pixels are split by stride phase: phase (a, b) = rows a, a+s, … and
+// columns b, b+s, …, a [ceil((in_h-a)/s), ceil((in_w-b)/s)] grid. Its taps
+// are taps[tap_ptr[a·s + b] : tap_ptr[a·s + b + 1]], in ascending t.
+struct ConvDxArgs {
+  const float* dy;       // [out_c, oh, ow] output gradient, read in place
+  const float* wx;       // [k·k, out_c, in_c]: wx[(t·out_c + o)·in_c + c] = w[o, c·k·k + t]
+  const ConvTap* taps;
+  const int32_t* tap_ptr;  // [s·s + 1]
+  int64_t out_c, in_c, in_h, in_w, stride, oh, ow;
+  float* dx;             // [in_c, in_h, in_w] input gradient, every element overwritten
 };
 
 // Kernel function-pointer table. One instance per compiled-in ISA; all
@@ -64,6 +98,21 @@ struct Kernels {
                      int64_t o1);
   void (*conv_csr)(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
                    const float* values, int64_t o0, int64_t o1);
+
+  // Conv backward of one sample, as the chains gemm_panel ran on the
+  // explicit patch matrix, with no patch matrix built.
+  //   conv_dw: dwt[r, o] = Σ_pos dyt[pos, o] · plane[off[r] + y·ld + x]
+  //     (pos = y·ow + x), the chain of dW = dy @ colsᵀ: positions ascending,
+  //     one single-rounded fma each from a +0 start, terms whose dyt is
+  //     0.0f skipped (so NaN or Inf under a zero gradient never enters).
+  //   conv_dx: the fold of dcols = Wᵀ @ dy into a zeroed image, gathered:
+  //     each input pixel is +0 plus, for each tap that reaches an output
+  //     inside [0, oh) × [0, ow), in ascending t, the chain over o
+  //     ascending of fma(wx, dy, ·) from +0 with zero weights skipped. Out-of-
+  //     range outputs are never added.
+  // Neither reads dy or the plane outside the channel planes they index.
+  void (*conv_dw)(const ConvDwArgs& a);
+  void (*conv_dx)(const ConvDxArgs& a);
 
   void (*relu)(float* x, int64_t n);                                // x = max(x, 0)
   void (*relu_grad)(const float* x, float* d, int64_t n);           // d = x<=0 ? 0 : d
@@ -108,6 +157,8 @@ void scalar_conv_dense(const ConvArgs& a, const float* w, const uint8_t* nz, int
                        int64_t o1);
 void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
                      const float* values, int64_t o0, int64_t o1);
+void scalar_conv_dw(const ConvDwArgs& a);
+void scalar_conv_dx(const ConvDxArgs& a);
 
 // Per-ISA tables; getters return nullptr when the ISA wasn't compiled in.
 // (Internal wiring for simd.cpp, exposed for the dispatch unit test.)

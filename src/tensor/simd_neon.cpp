@@ -195,7 +195,7 @@ void n_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kNeonKernels{
-    n_gemm_panel, scalar_conv_dense, scalar_conv_csr,
+    n_gemm_panel, scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
     n_relu,       n_relu_grad,  n_add,      n_mul,
     n_add_scalar, n_scale, n_div_scalar, n_clamp,
     n_reduce_max, n_reduce_abs_max,      n_sgd_step,

@@ -207,11 +207,16 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
       y.size(1) != w.rows) {
     throw std::invalid_argument("sparse::rhs_matmul_into: incompatible shapes");
   }
+  const int64_t n = x.size(0);
   if (w.layout == Layout::kDense) {
-    gemm(x, w.dense, y, /*trans_a=*/false, /*trans_b=*/true);
+    // Yᵀ = W @ Xᵀ: gemm's zero skip then tests the weights, like the CSR
+    // kernel, so a NaN or Inf input under a zero weight never reaches y and
+    // the layouts agree on non-finite input too.
+    Tensor yt = Tensor::scratch(Shape{w.rows, n});
+    gemm(w.dense, x, yt, /*trans_a=*/false, /*trans_b=*/true);
+    transpose(yt.data().data(), w.rows, n, y.data().data());
     return;
   }
-  const int64_t n = x.size(0);
   if (n == 0 || w.rows == 0 || w.cols == 0) {
     y.zero();
     return;

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "conv_ref.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
 
@@ -272,8 +273,8 @@ TEST(Im2col, PlanAddressesEveryPatchElement) {
   }
 }
 
-/// The backward's fold must be the adjoint of the forward's patch reads:
-/// <patches(x), y> == <x, fold(y)>.
+/// The reference fold the conv input gradient is checked against must be
+/// the adjoint of the plan's patch reads: <patches(x), y> == <x, fold(y)>.
 TEST(Col2im, IsAdjointOfIm2col) {
   ConvGeom g{2, 5, 4, 3, 2, 1};
   const ConvPlan plan(g, "c");
@@ -282,7 +283,7 @@ TEST(Col2im, IsAdjointOfIm2col) {
   Tensor cols = plan_patches(plan, x);
   Tensor y = Tensor::randn(cols.shape(), rng);
   Tensor back(Shape{2, 5, 4});
-  fold_patches_add(y.data().data(), g, back.data().data());
+  testing::ref_col2im(y, g, back.data().data());
 
   double lhs = 0.0, rhs = 0.0;
   for (int64_t i = 0; i < cols.numel(); ++i) lhs += static_cast<double>(cols[i]) * y[i];

@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "conv_ref.hpp"
 #include "grad_check.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -133,54 +134,17 @@ TEST(Conv2d, FlopsTrackMask) {
 
 // ----- Conv2d bit identity against the reference formulation ----------------------
 //
-// The layer builds its patch matrices from a zero-padded plane, the weight
-// gradient's operand directly in [oh·ow, patch] layout, Wᵀ once per call,
-// and folds dcols straight into dx. The reference below is the plain
+// The layer computes its output and both gradients straight from the input
+// and dy, with no patch matrix. The reference below is the plain
 // formulation those replace: a bounds-tested im2col, gemm with trans_b /
-// trans_a, and col2im into a zeroed image. Every GEMM sees the same operands
-// in the same k order, so the two must agree bit for bit.
+// trans_a, and col2im into a zeroed image (conv_ref.hpp). Every output and
+// gradient element is the same chain in both, so they must agree bit for
+// bit.
 
 bool same_bits(const Tensor& a, const Tensor& b) {
   return a.shape() == b.shape() &&
          std::memcmp(a.data().data(), b.data().data(),
                      static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
-}
-
-void ref_im2col(const float* image, const ConvGeom& g, Tensor& cols) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    for (int64_t ki = 0; ki < g.k; ++ki) {
-      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        for (int64_t y = 0; y < oh; ++y) {
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sy = y * g.stride + ki - g.pad, sx = x * g.stride + kj - g.pad;
-            const bool inside = sy >= 0 && sy < g.in_h && sx >= 0 && sx < g.in_w;
-            cols.at(row, y * ow + x) = inside ? image[(c * g.in_h + sy) * g.in_w + sx] : 0.0f;
-          }
-        }
-      }
-    }
-  }
-}
-
-void ref_col2im(const Tensor& cols, const ConvGeom& g, float* image) {
-  const int64_t oh = g.out_h(), ow = g.out_w();
-  std::memset(image, 0, static_cast<size_t>(g.in_c * g.in_h * g.in_w) * sizeof(float));
-  int64_t row = 0;
-  for (int64_t c = 0; c < g.in_c; ++c) {
-    for (int64_t ki = 0; ki < g.k; ++ki) {
-      for (int64_t kj = 0; kj < g.k; ++kj, ++row) {
-        for (int64_t y = 0; y < oh; ++y) {
-          for (int64_t x = 0; x < ow; ++x) {
-            const int64_t sy = y * g.stride + ki - g.pad, sx = x * g.stride + kj - g.pad;
-            if (sy < 0 || sy >= g.in_h || sx < 0 || sx >= g.in_w) continue;
-            image[(c * g.in_h + sy) * g.in_w + sx] += cols.at(row, y * ow + x);
-          }
-        }
-      }
-    }
-  }
 }
 
 struct ConvResult {
@@ -197,7 +161,7 @@ ConvResult ref_conv(const ConvGeom& g, const Tensor& w, const Tensor* bias, cons
   Tensor cols(Shape{g.patch(), oplane}), y_n(Shape{out_c, oplane});
   Tensor dy_n(Shape{out_c, oplane}), dw_n(Shape{out_c, g.patch()}), dcols(Shape{g.patch(), oplane});
   for (int64_t i = 0; i < n; ++i) {
-    ref_im2col(x.data().data() + i * isz, g, cols);
+    rp::testing::ref_im2col(x.data().data() + i * isz, g, cols);
     gemm(w, cols, y_n);
     float* y = r.y.data().data() + i * out_c * oplane;
     for (int64_t c = 0; c < out_c; ++c) {
@@ -210,7 +174,7 @@ ConvResult ref_conv(const ConvGeom& g, const Tensor& w, const Tensor* bias, cons
     gemm(dy_n, cols, dw_n, /*trans_a=*/false, /*trans_b=*/true);
     for (int64_t j = 0; j < dw_n.numel(); ++j) r.dw[j] += dw_n[j];
     gemm(w, dy_n, dcols, /*trans_a=*/true);
-    ref_col2im(dcols, g, r.dx.data().data() + i * isz);
+    rp::testing::ref_col2im(dcols, g, r.dx.data().data() + i * isz);
     if (bias) {
       for (int64_t c = 0; c < out_c; ++c) {
         float s = 0.0f;
@@ -249,6 +213,43 @@ void apply_mask(Parameter& w, ConvMask m, Rng& rng) {
   w.enforce_mask();
 }
 
+/// The NaN an invalid operation (Inf − Inf, Inf · 0) produces on this
+/// machine. When an fma or add meets two NaN operands, which one it returns
+/// depends on the instruction form the compiler picked, an order IEEE 754
+/// leaves open; with every NaN in play carrying these bits, the sums are
+/// comparable bit for bit whichever one propagates.
+float machine_nan() {
+  volatile float inf = std::numeric_limits<float>::infinity();
+  return inf - inf;
+}
+
+/// Output gradients with the values the gradient kernels must treat
+/// exactly: sample 0 is all exact zeros of both signs (its input holds NaN
+/// and ±Inf, which those zeros must keep out of dW), sample 1 holds NaN and
+/// ±Inf, and the other samples have about a quarter of their entries set
+/// to +0 or −0, scattered across the lanes of each channel vector.
+void add_special_gradients(Tensor& dy, Tensor& x, Rng& rng) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const int64_t n = dy.size(0), ysz = dy.numel() / n, xsz = x.numel() / n;
+  float* d = dy.data().data();
+  float* xd = x.data().data();
+  for (int64_t j = 0; j < ysz; ++j) d[j] = j % 2 == 0 ? 0.0f : -0.0f;
+  for (int64_t j = 0; j < xsz; ++j) {
+    if (j % 5 == 0) xd[j] = machine_nan();
+    if (j % 5 == 2) xd[j] = j % 3 == 0 ? inf : -inf;
+  }
+  for (int64_t j = 0; j < ysz && n > 1; ++j) {
+    if (j % 7 == 3) d[ysz + j] = machine_nan();
+    if (j % 11 == 5) d[ysz + j] = inf;
+    if (j % 13 == 6) d[ysz + j] = -inf;
+  }
+  for (int64_t j = 2 * ysz; j < n * ysz; ++j) {
+    const float u = rng.uniform();
+    if (u < 0.125f) d[j] = 0.0f;
+    if (u >= 0.125f && u < 0.25f) d[j] = -0.0f;
+  }
+}
+
 TEST(ConvBitIdentity, MatchesReferenceFormulation) {
   const ConvCase cases[] = {
       {3, 5, 3, 1, 1, 6, 6, true},    // k3/s1/p1
@@ -273,6 +274,15 @@ TEST(ConvBitIdentity, MatchesReferenceFormulation) {
       {4, 10, 1, 2, 0, 9, 9, true},   // 1×1 stride-2 shortcut, ow 5
       {2, 5, 5, 1, 2, 6, 12, false},  // k5/p2, ow 12
       {1, 2, 3, 1, 1, 2, 2100, true}, // rows wider than the scalar kernel's buffer
+      // out_c past one 8-channel vector and not a multiple of it: the
+      // weight gradient's 16-channel tiles and their masked tails.
+      {3, 13, 3, 1, 1, 6, 6, false},  // one 16-channel tile, 5 lanes masked
+      {4, 20, 3, 2, 1, 9, 9, true},   // a full 16-channel tile + a 4-lane tail
+      {5, 16, 3, 1, 1, 4, 4, false},  // 4×4 output: dx slots span grid rows
+      // Pad 0 with k > 1: dx grid rows longer than dy's, one slot per row.
+      {3, 9, 3, 1, 0, 6, 10, true},
+      {2, 4, 3, 2, 0, 9, 9, false},
+      {2, 3, 3, 3, 1, 8, 7, true},    // stride 3: nine dx phases
   };
   const ConvMask masks[] = {ConvMask::kDense,    ConvMask::kPattern,  ConvMask::kRandom55,
                             ConvMask::kRandom17, ConvMask::kRandom05, ConvMask::kZero};
@@ -280,12 +290,17 @@ TEST(ConvBitIdentity, MatchesReferenceFormulation) {
     for (const ConvMask mask : masks) {
       // The non-finite input puts NaN and +Inf into channel 0, whose weights
       // are all zeroed: skipped terms must keep them out of every output.
-      for (const bool nonfinite : {false, true}) {
+      // The special gradients (add_special_gradients) test the backward's
+      // zero skips and non-finite propagation. They are not combined with
+      // the non-finite channel 0: its NaN times a NaN gradient is a product
+      // of two NaNs, whose result IEEE 754 leaves to the instruction form.
+      for (const auto& [nonfinite, special] :
+           {std::pair{false, false}, {true, false}, {false, true}}) {
         SCOPED_TRACE("in_c " + std::to_string(cc.in_c) + " out_c " + std::to_string(cc.out_c) +
                      " k" + std::to_string(cc.k) + " s" + std::to_string(cc.stride) + " " +
                      std::to_string(cc.h) + "x" + std::to_string(cc.w) + " mask " +
                      std::to_string(static_cast<int>(mask)) +
-                     (nonfinite ? " nonfinite" : ""));
+                     (nonfinite ? " nonfinite" : "") + (special ? " special dy" : ""));
         Rng rng(100 + cc.in_c);
         Conv2d conv("c", cc.in_c, cc.out_c, cc.k, cc.stride, cc.pad, cc.h, cc.w, cc.bias, rng);
         std::vector<Parameter*> params;
@@ -310,12 +325,15 @@ TEST(ConvBitIdentity, MatchesReferenceFormulation) {
             }
           }
         }
-        const Tensor dy = Tensor::randn(Shape{5, cc.out_c, g.out_h(), g.out_w()}, rng);
+        // Every operand is an exact-size heap tensor, so a kernel read past
+        // the end of x, dy or the weight shows under ASan.
+        Tensor dy = Tensor::randn(Shape{5, cc.out_c, g.out_h(), g.out_w()}, rng);
+        if (special) add_special_gradients(dy, x, rng);
         const Tensor dw0 = Tensor::randn(w.value.shape(), rng);
         const Tensor db0 = Tensor::randn(Shape{cc.out_c}, rng);
         const ConvResult ref =
             ref_conv(g, w.value, cc.bias ? &params[1]->value : nullptr, x, dy, dw0, db0);
-        if (nonfinite) {
+        if (nonfinite && !special) {
           for (const float v : ref.y.data()) ASSERT_TRUE(std::isfinite(v));
         }
 
@@ -371,6 +389,37 @@ TEST(Linear, KnownValue) {
   Tensor y = fc.forward(x, false);
   EXPECT_FLOAT_EQ(y.at(0, 0), 3.5f);   // 1+2+0.5
   EXPECT_FLOAT_EQ(y.at(0, 1), 6.5f);   // 3+4-0.5
+}
+
+/// A NaN input under an all-zero weight column reaches no output, whichever
+/// path runs the forward: the training forward (sparse off), the compiled
+/// dense layout, CSR, or whatever auto picks (dense at this density).
+TEST(Linear, ZeroWeightColumnKeepsNanOutOfEveryLayout) {
+  Rng rng(14);
+  Linear fc("fc", 8, 4, true, rng);
+  std::vector<Parameter*> params;
+  fc.collect_params(params);
+  params[1]->value = Tensor::randn(Shape{4}, rng);
+  Parameter& w = fc.weight();
+  for (int64_t o = 0; o < 4; ++o) w.mask.at(o, 3) = 0.0f;
+  w.enforce_mask();
+  Tensor x = Tensor::randn(Shape{2, 8}, rng);
+  x.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
+
+  const Tensor ref = fc.forward(x, true);
+  for (const float v : ref.data()) ASSERT_TRUE(std::isfinite(v));
+  Tensor dense(ref.shape());
+  sparse::rhs_matmul_into(sparse::compile(w.value, sparse::Mode::kOff), x, dense);
+  simd::add(dense.data().data(), params[1]->value.data().data(), 4);
+  simd::add(dense.data().data() + 4, params[1]->value.data().data(), 4);
+  EXPECT_TRUE(same_bits(dense, ref)) << "dense layout";
+  for (const sparse::Mode m : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+    sparse::force(m);
+    fc.set_sparse(true);
+    EXPECT_TRUE(same_bits(fc.forward(x, false), ref)) << "RP_SPARSE=" << sparse::mode_name(m);
+    fc.set_sparse(false);
+  }
+  sparse::reset();
 }
 
 TEST(Linear, InputGradient) {
@@ -552,35 +601,42 @@ bool same_bits(const Tensor& a, const std::vector<float>& b) {
 }
 
 TEST(BatchNormBitIdentity, MatchesSerialPerChannelReference) {
-  for (const int64_t channels : {3, 5, 8, 10}) {  // 10: densenet's growth, a tail group of 2
-    SCOPED_TRACE("channels " + std::to_string(channels));
-    Rng rng(200 + channels);
-    BatchNorm2d bn("bn", channels);
-    bn.gamma().value = Tensor::randn(Shape{channels}, rng);
-    bn.beta().value = Tensor::randn(Shape{channels}, rng);
-    bn.running_var() = Tensor::rand(Shape{channels}, rng, 0.5f, 2.0f);
-    bn.running_mean() = Tensor::randn(Shape{channels}, rng);
-    BnRef ref{as_vector(bn.gamma().value), as_vector(bn.beta().value),
-              as_vector(bn.running_mean()), as_vector(bn.running_var()), {}, Tensor(), 0.1f,
-              1e-5f};
-    std::vector<float> dgamma(static_cast<size_t>(channels), 0.25f), dbeta(dgamma);
-    bn.gamma().grad = Tensor(Shape{channels}, dgamma);
-    bn.beta().grad = Tensor(Shape{channels}, dbeta);
+  // A training batch runs its channel groups across lanes: every lane count
+  // must match the serial reference.
+  for (const int threads : {1, 2, 4}) {
+    parallel::set_num_threads(threads);
+    for (const int64_t channels : {3, 5, 8, 10}) {  // 10: densenet's growth, a tail group of 2
+      SCOPED_TRACE("channels " + std::to_string(channels) + ", " + std::to_string(threads) +
+                   " threads");
+      Rng rng(200 + channels);
+      BatchNorm2d bn("bn", channels);
+      bn.gamma().value = Tensor::randn(Shape{channels}, rng);
+      bn.beta().value = Tensor::randn(Shape{channels}, rng);
+      bn.running_var() = Tensor::rand(Shape{channels}, rng, 0.5f, 2.0f);
+      bn.running_mean() = Tensor::randn(Shape{channels}, rng);
+      BnRef ref{as_vector(bn.gamma().value), as_vector(bn.beta().value),
+                as_vector(bn.running_mean()), as_vector(bn.running_var()), {}, Tensor(), 0.1f,
+                1e-5f};
+      std::vector<float> dgamma(static_cast<size_t>(channels), 0.25f), dbeta(dgamma);
+      bn.gamma().grad = Tensor(Shape{channels}, dgamma);
+      bn.beta().grad = Tensor(Shape{channels}, dbeta);
 
-    // Train step, an eval batch of another size, then a second train step:
-    // the cached normalized input follows every batch-shape change.
-    for (const auto& [n, train] : {std::pair<int64_t, bool>{4, true}, {2, false}, {4, true}}) {
-      SCOPED_TRACE(train ? "train" : "eval");
-      const Tensor x = Tensor::randn(Shape{n, channels, 3, 5}, rng, 2.0f) + 0.5f;
-      EXPECT_TRUE(same_bits(bn.forward(x, train), ref.forward(x, train)));
-      EXPECT_TRUE(same_bits(bn.running_mean(), ref.rmean));
-      EXPECT_TRUE(same_bits(bn.running_var(), ref.rvar));
-      const Tensor dy = Tensor::randn(x.shape(), rng);
-      EXPECT_TRUE(same_bits(bn.backward(dy), ref.backward(dy, dgamma, dbeta)));
-      EXPECT_TRUE(same_bits(bn.gamma().grad, dgamma));
-      EXPECT_TRUE(same_bits(bn.beta().grad, dbeta));
+      // Train step, an eval batch of another size, then a second train step:
+      // the cached normalized input follows every batch-shape change.
+      for (const auto& [n, train] : {std::pair<int64_t, bool>{4, true}, {2, false}, {4, true}}) {
+        SCOPED_TRACE(train ? "train" : "eval");
+        const Tensor x = Tensor::randn(Shape{n, channels, 3, 5}, rng, 2.0f) + 0.5f;
+        EXPECT_TRUE(same_bits(bn.forward(x, train), ref.forward(x, train)));
+        EXPECT_TRUE(same_bits(bn.running_mean(), ref.rmean));
+        EXPECT_TRUE(same_bits(bn.running_var(), ref.rvar));
+        const Tensor dy = Tensor::randn(x.shape(), rng);
+        EXPECT_TRUE(same_bits(bn.backward(dy), ref.backward(dy, dgamma, dbeta)));
+        EXPECT_TRUE(same_bits(bn.gamma().grad, dgamma));
+        EXPECT_TRUE(same_bits(bn.beta().grad, dbeta));
+      }
     }
   }
+  parallel::set_num_threads(0);
 }
 
 // ----- ReLU / pools / reshape ----------------------------------------------------------

@@ -66,6 +66,8 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
     EXPECT_NE(t->gemm_panel, nullptr);
     EXPECT_NE(t->conv_dense, nullptr);
     EXPECT_NE(t->conv_csr, nullptr);
+    EXPECT_NE(t->conv_dw, nullptr);
+    EXPECT_NE(t->conv_dx, nullptr);
     EXPECT_NE(t->relu, nullptr);
     EXPECT_NE(t->relu_grad, nullptr);
     EXPECT_NE(t->add, nullptr);
