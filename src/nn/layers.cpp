@@ -46,11 +46,10 @@ int64_t sample_grain(int64_t n) {
 /// groups [c0, c0 + G): groups of four, then one tail group of 1–3. BatchNorm
 /// runs each group's per-channel double sums as G independent chains, so the
 /// adds overlap in the pipeline while every channel keeps its own serial
-/// (sample, pixel) summation order. With `across_lanes` the groups run in
-/// parallel; each one writes only its own channels, so any lane count is
-/// bit-identical.
+/// (sample, pixel) summation order. The groups run across lanes; each one
+/// writes only its own channels, so any lane count is bit-identical.
 template <typename F>
-void for_channel_groups(int64_t channels, bool across_lanes, F&& f) {
+void for_channel_groups(int64_t channels, F&& f) {
   auto groups = [&](int64_t g0, int64_t g1) {
     for (int64_t c0 = 4 * g0; c0 < std::min(channels, 4 * g1); c0 += 4) {
       switch (std::min<int64_t>(4, channels - c0)) {
@@ -69,13 +68,8 @@ void for_channel_groups(int64_t channels, bool across_lanes, F&& f) {
       }
     }
   };
-  const int64_t n = (channels + 3) / 4;
-  if (across_lanes) {
-    // rp-lint: allow(R7) per-group loop: each group reduces 4 channels over the whole batch
-    parallel::parallel_for(0, n, 1, groups);
-  } else {
-    groups(0, n);
-  }
+  // rp-lint: allow(R7) per-group loop: each group reduces 4 channels over the whole batch
+  parallel::parallel_for(0, (channels + 3) / 4, 1, groups);
 }
 
 }  // namespace
@@ -305,12 +299,7 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   if (sparse_) {
     sparse::rhs_matmul_into(sparse_w_, x, y);
   } else {
-    // Yᵀ = W @ Xᵀ, so gemm's zero skip tests the weights, as the conv and
-    // CSR kernels do: NaN or Inf input under a zero weight never reaches y.
-    Tensor yt = Tensor::scratch(Shape{out_, n});
-    // rp-lint: allow(R9) dense path when sparse is off
-    gemm(weight_.value, x, yt, /*trans_a=*/false, /*trans_b=*/true);
-    transpose(yt.data().data(), out_, n, y.data().data());
+    sparse::dense_rhs_matmul_into(weight_.value, x, y);
   }
   if (use_bias_) {
     float* yd = y.data().data();
@@ -414,9 +403,7 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   float* xh = cached_xhat_.data().data();
   float* yd = y.data().data();
 
-  // A training batch runs its channel groups across lanes; an eval batch
-  // stays on the calling lane, so serving pays no dispatch.
-  for_channel_groups(c_, train, [&](auto group, int64_t c0) {
+  for_channel_groups(c_, [&](auto group, int64_t c0) {
     constexpr int G = decltype(group)::value;
     float m[G], v[G];
     if (train) {
@@ -478,7 +465,7 @@ Tensor BatchNorm2d::backward(const Tensor& dy) {
   const float* xh = cached_xhat_.data().data();
   float* dxd = dx.data().data();
 
-  for_channel_groups(c_, /*across_lanes=*/true, [&](auto group, int64_t c0) {
+  for_channel_groups(c_, [&](auto group, int64_t c0) {
     constexpr int G = decltype(group)::value;
     double sum_dy[G] = {}, sum_dy_xhat[G] = {};
     for (int64_t i = 0; i < n; ++i) {

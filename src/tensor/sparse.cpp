@@ -202,6 +202,14 @@ Tensor SparseWeight::to_dense() const {
 // Execution
 
 // rp-lint: hot
+void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y) {
+  const int64_t n = x.size(0), rows = w.size(0);
+  Tensor yt = Tensor::scratch(Shape{rows, n});
+  gemm(w, x, yt, /*trans_a=*/false, /*trans_b=*/true);
+  transpose(yt.data().data(), rows, n, y.data().data());
+}
+
+// rp-lint: hot
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != w.cols || y.size(0) != x.size(0) ||
       y.size(1) != w.rows) {
@@ -209,12 +217,7 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
   }
   const int64_t n = x.size(0);
   if (w.layout == Layout::kDense) {
-    // Yᵀ = W @ Xᵀ: gemm's zero skip then tests the weights, like the CSR
-    // kernel, so a NaN or Inf input under a zero weight never reaches y and
-    // the layouts agree on non-finite input too.
-    Tensor yt = Tensor::scratch(Shape{w.rows, n});
-    gemm(w.dense, x, yt, /*trans_a=*/false, /*trans_b=*/true);
-    transpose(yt.data().data(), w.rows, n, y.data().data());
+    dense_rhs_matmul_into(w.dense, x, y);
     return;
   }
   if (n == 0 || w.rows == 0 || w.cols == 0) {

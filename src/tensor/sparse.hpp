@@ -110,14 +110,21 @@ SparseWeight compile(const Tensor& w);
 /// Y[n, rows] = X[n, cols] @ Wᵀ — the Linear forward. Every output is the
 /// chain over cols ascending from +0 with zero weights skipped, so NaN or
 /// Inf input under a zero weight never reaches an output, whatever the
-/// layout. A dense layout runs gemm(w, x, yᵀ, /*trans_a=*/false,
-/// /*trans_b=*/true) into a scratch Yᵀ and transposes it. A CSR layout runs
+/// layout. A dense layout runs dense_rhs_matmul_into. A CSR layout runs
 /// the CSR conv kernel as a 1×1 conv over Xᵀ (plane [cols, n], patch row r
 /// at offset r·n, one output row of n positions) into a transposed Yᵀ, both
 /// on scratch, counting gemm.sparse_calls. Both layouts are memcmp-identical
 /// for any RP_THREADS and RP_SIMD. Throws std::invalid_argument when cols·n
 /// overflows the kernel's 32-bit plane offsets.
 void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
+
+/// The dense form of rhs_matmul_into for an uncompiled [rows, cols] weight
+/// matrix (a Linear whose sparse path is off): gemm(w, x, yᵀ,
+/// /*trans_a=*/false, /*trans_b=*/true) into a scratch Yᵀ, then one
+/// transpose into y. gemm's zero skip then tests the weights, as the conv
+/// and CSR kernels do, so a NaN or Inf input under a zero weight never
+/// reaches y.
+void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y);
 
 /// Implicit-GEMM conv forward of one sample (tensor/gemm.hpp ConvPlan) for
 /// a compiled [out_c, patch] weight: a dense layout runs rp::conv_forward
