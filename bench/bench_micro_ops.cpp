@@ -253,8 +253,9 @@ BENCHMARK(BM_ConvBackwardResnet8)->DenseRange(0, 8)->UseRealTime();
 /// The acceptance benchmark for the compile-to-sparse engine: an n³ Linear
 /// product y = x·wᵀ (rp::sparse::rhs_matmul_into, the engine's matrix
 /// entry) at one thread with the weight unstructured-pruned to a target
-/// density (per-mille in arg 1), compiled dense (arg 2 = 0, rp::gemm with
-/// trans_b) or CSR (1, the CSR conv kernel as a 1×1 conv). Both variants
+/// density (per-mille in arg 1), compiled dense (arg 2 = 0, rp::gemm over
+/// Yᵀ = W·Xᵀ, skipping zero weights) or CSR (1, the CSR conv kernel as a
+/// 1×1 conv). Both variants
 /// are bit-identical in output (tests/test_sparse.cpp); the dense rows at
 /// each density are the baseline of the committed speedup-vs-density
 /// curves. Acceptance: ≥3× over dense at ≤10% density.
