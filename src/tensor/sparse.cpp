@@ -204,6 +204,9 @@ Tensor SparseWeight::to_dense() const {
 // rp-lint: hot
 void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y) {
   const int64_t n = x.size(0), rows = w.size(0);
+  if (y.ndim() != 2 || y.size(0) != n || y.size(1) != rows) {
+    throw std::invalid_argument("sparse::dense_rhs_matmul_into: incompatible shapes");
+  }
   Tensor yt = Tensor::scratch(Shape{rows, n});
   gemm(w, x, yt, /*trans_a=*/false, /*trans_b=*/true);
   transpose(yt.data().data(), rows, n, y.data().data());

@@ -123,7 +123,7 @@ void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
 /// /*trans_a=*/false, /*trans_b=*/true) into a scratch Yᵀ, then one
 /// transpose into y. gemm's zero skip then tests the weights, as the conv
 /// and CSR kernels do, so a NaN or Inf input under a zero weight never
-/// reaches y.
+/// reaches y. Throws std::invalid_argument unless y is [n, rows].
 void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y);
 
 /// Implicit-GEMM conv forward of one sample (tensor/gemm.hpp ConvPlan) for

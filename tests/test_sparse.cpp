@@ -277,6 +277,20 @@ TEST(SparseMatmul, StoredZerosSkipNonFiniteInputs) {
   }
 }
 
+TEST(SparseMatmul, MismatchedOutputShapeThrows) {
+  // Both Linear entries check y before writing it, so a wrong output shape
+  // is an error, not a write past y's buffer.
+  const Tensor w = make_pruned(4, 6, 0.5, 97);
+  const Tensor x(Shape{3, 6});
+  for (const Shape& bad : {Shape{4, 3}, Shape{3, 5}, Shape{3, 4, 1}, Shape{12}}) {
+    Tensor y(bad);
+    EXPECT_THROW(sparse::dense_rhs_matmul_into(w, x, y), std::invalid_argument) << bad.to_string();
+    EXPECT_THROW(sparse::rhs_matmul_into(sparse::compile(w, sparse::Mode::kOff), x, y),
+                 std::invalid_argument)
+        << bad.to_string();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end: predict is memcmp-identical across the whole matrix, and the
 // obs counters see the sparse path without touching the results.
