@@ -46,30 +46,27 @@ int64_t sample_grain(int64_t n) {
 /// groups [c0, c0 + G): groups of four, then one tail group of 1–3. BatchNorm
 /// runs each group's per-channel double sums as G independent chains, so the
 /// adds overlap in the pipeline while every channel keeps its own serial
-/// (sample, pixel) summation order. The groups run across lanes; each one
-/// writes only its own channels, so any lane count is bit-identical.
+/// (sample, pixel) summation order. The groups run on the calling lane: on
+/// resnet8's shapes at batch 64 a group takes 5–130 µs, too short to hand to
+/// a parked worker, whose wake-up latency made the step time vary from run to
+/// run.
 template <typename F>
 void for_channel_groups(int64_t channels, F&& f) {
-  auto groups = [&](int64_t g0, int64_t g1) {
-    for (int64_t c0 = 4 * g0; c0 < std::min(channels, 4 * g1); c0 += 4) {
-      switch (std::min<int64_t>(4, channels - c0)) {
-        case 4:
-          f(std::integral_constant<int, 4>{}, c0);
-          break;
-        case 3:
-          f(std::integral_constant<int, 3>{}, c0);
-          break;
-        case 2:
-          f(std::integral_constant<int, 2>{}, c0);
-          break;
-        default:
-          f(std::integral_constant<int, 1>{}, c0);
-          break;
-      }
-    }
-  };
-  // rp-lint: allow(R7) per-group loop: each group reduces 4 channels over the whole batch
-  parallel::parallel_for(0, (channels + 3) / 4, 1, groups);
+  int64_t c0 = 0;
+  for (; c0 + 4 <= channels; c0 += 4) f(std::integral_constant<int, 4>{}, c0);
+  switch (channels - c0) {
+    case 3:
+      f(std::integral_constant<int, 3>{}, c0);
+      break;
+    case 2:
+      f(std::integral_constant<int, 2>{}, c0);
+      break;
+    case 1:
+      f(std::integral_constant<int, 1>{}, c0);
+      break;
+    default:
+      break;
+  }
 }
 
 }  // namespace
@@ -213,18 +210,14 @@ Tensor Conv2d::backward(const Tensor& dy) {
     }
   });
 
-  // The partials are dWᵀ: fold them into the gradient transposed, each
-  // element in sample order (disjoint element ranges per lane), and
-  // transpose back.
+  // The partials are dWᵀ: fold them into the gradient transposed, in sample
+  // order, and transpose back. The fold runs on the calling lane, like the
+  // bias fold below.
   Tensor gt = Tensor::scratch(Shape{patch, out_c_});
   float* gtd = gt.data().data();
   float* wg = weight_.grad.data().data();
   transpose(wg, out_c_, patch, gtd);
-  const int64_t fold_grain =
-      std::max<int64_t>(4096, wsize / (4 * static_cast<int64_t>(parallel::num_threads())));
-  parallel::parallel_for(0, wsize, fold_grain, [&](int64_t e0, int64_t e1) {
-    for (int64_t i = 0; i < n; ++i) simd::add(gtd + e0, dwp + i * wsize + e0, e1 - e0);
-  });
+  for (int64_t i = 0; i < n; ++i) simd::add(gtd, dwp + i * wsize, wsize);
   transpose(gtd, patch, out_c_, wg);
   if (use_bias_) {
     float* bg = bias_.grad.data().data();

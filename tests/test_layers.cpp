@@ -601,8 +601,7 @@ bool same_bits(const Tensor& a, const std::vector<float>& b) {
 }
 
 TEST(BatchNormBitIdentity, MatchesSerialPerChannelReference) {
-  // A training batch runs its channel groups across lanes: every lane count
-  // must match the serial reference.
+  // Every lane count must match the serial reference.
   for (const int threads : {1, 2, 4}) {
     parallel::set_num_threads(threads);
     for (const int64_t channels : {3, 5, 8, 10}) {  // 10: densenet's growth, a tail group of 2
