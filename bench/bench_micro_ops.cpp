@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate operations that
 // dominate experiment wall-clock, plus the DESIGN.md ablations:
-//   - GEMM / convolution forward+backward throughput
+//   - convolution and Linear forward+backward throughput
 //   - masked-vs-dense cost (the masks-not-surgery design decision)
 //   - pruning-score computation per method (sensitivity ablation)
 //   - corruption throughput per family
@@ -24,7 +24,7 @@
 #include "nn/loss.hpp"
 #include "nn/models.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 #include "tensor/sparse.hpp"
@@ -92,72 +92,6 @@ void report_flops(benchmark::State& state, double flops_per_iter) {
       static_cast<double>(state.iterations()) * flops_per_iter, benchmark::Counter::kIsRate,
       benchmark::Counter::kIs1000);
 }
-
-void BM_Gemm(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{n, n}, rng);
-  Tensor b = Tensor::randn(Shape{n, n}, rng);
-  Tensor c(Shape{n, n});
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  report_flops(state, 2.0 * static_cast<double>(n * n * n));
-}
-BENCHMARK(BM_Gemm)->Arg(32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-/// The acceptance benchmark for the threaded backend: 512^3 GEMM at an
-/// explicit lane count (1/2/4/8), bypassing RP_THREADS for the run.
-void BM_GemmThreads(benchmark::State& state) {
-  const int64_t n = 512;
-  const int threads = static_cast<int>(state.range(0));
-  parallel::set_num_threads(threads);
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{n, n}, rng);
-  Tensor b = Tensor::randn(Shape{n, n}, rng);
-  Tensor c(Shape{n, n});
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-  parallel::set_num_threads(0);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  report_flops(state, 2.0 * static_cast<double>(n * n * n));
-  state.SetLabel("512x512x512 @ " + std::to_string(threads) + " threads");
-}
-// UseRealTime: rates must come from wall-clock, not the main thread's CPU
-// time — otherwise multi-lane runs report inflated throughput.
-BENCHMARK(BM_GemmThreads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-/// The acceptance benchmark for the SIMD microkernel: 512^3 GEMM at one
-/// thread, forced-scalar vs dispatched ISA. The two variants are bit-identical
-/// in output (tests/test_simd.cpp); this measures what the dispatch buys.
-void BM_GemmSimd(benchmark::State& state) {
-  const bool dispatched = state.range(0) != 0;
-  const int64_t n = 512;
-  parallel::set_num_threads(1);
-  if (dispatched) {
-    simd::reset();
-  } else {
-    simd::force(simd::Isa::kScalar);
-  }
-  Rng rng(1);
-  Tensor a = Tensor::randn(Shape{n, n}, rng);
-  Tensor b = Tensor::randn(Shape{n, n}, rng);
-  Tensor c(Shape{n, n});
-  for (auto _ : state) {
-    gemm(a, b, c);
-    benchmark::DoNotOptimize(c.data().data());
-  }
-  state.SetLabel(std::string("512x512x512 @ 1 thread, ") + simd::isa_name(simd::active()));
-  simd::reset();
-  parallel::set_num_threads(0);
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-  report_flops(state, 2.0 * static_cast<double>(n * n * n));
-}
-BENCHMARK(BM_GemmSimd)->Arg(0)->Arg(1)->UseRealTime();
 
 /// Conv forward at one thread, forced-scalar vs dispatched ISA. FLOPs count
 /// the im2col GEMM only (2 * out_c * patch * out_hw per sample).
@@ -253,9 +187,9 @@ BENCHMARK(BM_ConvBackwardResnet8)->DenseRange(0, 8)->UseRealTime();
 /// The acceptance benchmark for the compile-to-sparse engine: an n³ Linear
 /// product y = x·wᵀ (rp::sparse::rhs_matmul_into, the engine's matrix
 /// entry) at one thread with the weight unstructured-pruned to a target
-/// density (per-mille in arg 1), compiled dense (arg 2 = 0, rp::gemm over
-/// Yᵀ = W·Xᵀ, skipping zero weights) or CSR (1, the CSR conv kernel as a
-/// 1×1 conv). Both variants
+/// density (per-mille in arg 1), compiled dense (arg 2 = 0) or CSR (1): the
+/// dense or CSR conv kernel as a 1×1 conv over Yᵀ = W·Xᵀ, zero weights
+/// skipped either way. Both variants
 /// are bit-identical in output (tests/test_sparse.cpp); the dense rows at
 /// each density are the baseline of the committed speedup-vs-density
 /// curves. Acceptance: ≥3× over dense at ≤10% density.
@@ -274,8 +208,10 @@ void BM_SparseGemm(benchmark::State& state) {
   Tensor x = Tensor::randn(Shape{n, n}, rng);
   Tensor y(Shape{n, n});
   const auto w = sparse::compile(a, layout == 0 ? sparse::Mode::kOff : sparse::Mode::kCsr);
+  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(n, n)));
+  conv_zero_masks(a, nz.data());
   for (auto _ : state) {
-    sparse::rhs_matmul_into(w, x, y);
+    sparse::rhs_matmul_into(w, nz.data(), x, y);
     benchmark::DoNotOptimize(y.data().data());
   }
   parallel::set_num_threads(0);

@@ -102,13 +102,18 @@ echo "== [6/8] Bench provenance: bench binaries must be true Release builds =="
 # the build is wired to some other benchmark library whose provenance we
 # cannot vouch for, e.g. the Debug-compiled distro .so this gate exists to
 # keep out of the record).
+# The probe must hold at least one row, so a renamed or deleted bench cannot
+# make the gate vacuous.
 BENCH_PROBE="$(mktemp /tmp/rp_check_bench.XXXXXX.json)"
-./build/bench/bench_micro_ops --benchmark_filter='BM_Gemm/32$' \
+./build/bench/bench_micro_ops --benchmark_filter='BM_ObsSpanDisabled$' \
   --benchmark_repetitions=1 --benchmark_out="$BENCH_PROBE" \
   --benchmark_out_format=json >/dev/null
 python3 - "$BENCH_PROBE" <<'EOF'
 import json, sys
-ctx = json.load(open(sys.argv[1]))["context"]
+probe = json.load(open(sys.argv[1]))
+if not probe.get("benchmarks"):
+    sys.exit("bench gate: the probe filter matched no benchmark")
+ctx = probe["context"]
 for key in ("rp_build_type", "library_build_type"):
     bt = ctx.get(key)
     if bt != "release":

@@ -123,9 +123,9 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
       const float* p = plan_.fill(xd + i * isz, planes.data().data());
       float* yi = yd + i * out_c_ * oplane;
       if (sparse_) {
-        sparse::conv_forward(sparse_w_, zero_masks_.data(), plan_, p, bias, yi);
+        sparse::conv_forward(sparse_w_, zero_masks_.data(), plan_.args(p, bias, yi));
       } else {
-        conv_forward(weight_.value, zero_masks_.data(), plan_, p, bias, yi);
+        conv_forward(weight_.value, zero_masks_.data(), plan_.args(p, bias, yi));
       }
     }
   });
@@ -196,9 +196,9 @@ Tensor Conv2d::backward(const Tensor& dy) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* dyi = dyd + i * out_c_ * oplane;
       transpose(dyi, out_c_, oplane, dyt.data().data());
-      conv_grad_weight(plan_, plan_.fill(xd + i * isz, planes.data().data()), dyt.data().data(),
-                       out_c_, dwp + i * wsize);
-      conv_grad_input(plan_, wx.data().data(), out_c_, dyi, dxd + i * isz);
+      conv_grad_weight(plan_.dw_args(plan_.fill(xd + i * isz, planes.data().data()),
+                                     dyt.data().data(), out_c_, dwp + i * wsize));
+      conv_grad_input(plan_.dx_args(wx.data().data(), out_c_, dyi, dxd + i * isz));
 
       if (use_bias_) {
         for (int64_t c = 0; c < out_c_; ++c) {
@@ -279,7 +279,8 @@ Linear::Linear(std::string name, int64_t in, int64_t out, bool use_bias, Rng& rn
       weight_(name_ + ".weight", kaiming_init(Shape{out, in}, in, rng), /*is_prunable=*/true),
       bias_(name_ + ".bias", Tensor::zeros(Shape{out}), /*is_prunable=*/false),
       in_stat_(static_cast<size_t>(in), 0.0f),
-      out_stat_(static_cast<size_t>(out), 0.0f) {}
+      out_stat_(static_cast<size_t>(out), 0.0f),
+      zero_masks_(static_cast<size_t>(conv_mask_size(out, in))) {}
 
 Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   if (x.ndim() != 2 || x.size(1) != in_) {
@@ -290,9 +291,10 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   const int64_t n = x.size(0);
   Tensor y = Tensor::scratch(Shape{n, out_});
   if (sparse_) {
-    sparse::rhs_matmul_into(sparse_w_, x, y);
+    sparse::rhs_matmul_into(sparse_w_, zero_masks_.data(), x, y);
   } else {
-    sparse::dense_rhs_matmul_into(weight_.value, x, y);
+    conv_zero_masks(weight_.value, zero_masks_.data());
+    sparse::dense_rhs_matmul_into(weight_.value, zero_masks_.data(), x, y);
   }
   if (use_bias_) {
     float* yd = y.data().data();
@@ -316,18 +318,29 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
 
 Tensor Linear::backward(const Tensor& dy) {
   const int64_t n = cached_input_.size(0);
-  // dW += dyᵀ @ x
-  // rp-lint: allow(R9) training backward: gradients need the dense weight
-  gemm(dy, cached_input_, weight_.grad, /*trans_a=*/true, /*trans_b=*/false,
-       /*accumulate=*/true);
+  const float* dyd = dy.data().data();
+  Tensor dx = Tensor::scratch(Shape{n, in_});
+  if (n == 0) return dx;
+  // dWᵀ = xᵀ @ dy over the batch plane, with dy itself as the
+  // position-major output gradient, added into the gradient through one
+  // transpose as Conv2d folds its sample partials.
+  const BatchPlane plane(cached_input_);
+  Tensor dwt = Tensor::scratch(Shape{in_, out_});
+  Tensor dw = Tensor::scratch(Shape{out_, in_});
+  conv_grad_weight(plane.dw_args(dyd, out_, dwt.data().data()));
+  transpose(dwt.data().data(), in_, out_, dw.data().data());
+  simd::add(weight_.grad.data().data(), dw.data().data(), out_ * in_);
   if (use_bias_) {
     float* bg = bias_.grad.data().data();
-    const float* dyd = dy.data().data();
     for (int64_t i = 0; i < n; ++i) simd::add(bg, dyd + i * out_, out_);
   }
-  Tensor dx = Tensor::scratch(Shape{n, in_});
-  // rp-lint: allow(R9) training backward: gradients need the dense weight
-  gemm(dy, weight_.value, dx);
+  // dxᵀ = Wᵀ @ dyᵀ as the input gradient of a 1×1 conv over n pixels.
+  Tensor dyt = Tensor::scratch(Shape{out_, n});
+  Tensor dxt = Tensor::scratch(Shape{in_, n});
+  transpose(dyd, n, out_, dyt.data().data());
+  conv_grad_input(batch_dx_args(weight_.value.data().data(), out_, in_, n, dyt.data().data(),
+                                dxt.data().data()));
+  transpose(dxt.data().data(), in_, n, dx.data().data());
   return dx;
 }
 
@@ -361,6 +374,9 @@ void Linear::set_profiling(bool on) {
 void Linear::set_sparse(bool on) {
   sparse_ = on && sparse::mode() != sparse::Mode::kOff;
   sparse_w_ = sparse_ ? sparse::compile(weight_.value) : sparse::SparseWeight{};
+  if (sparse_ && sparse_w_.layout == sparse::Layout::kDense) {
+    conv_zero_masks(sparse_w_.dense, zero_masks_.data());
+  }
 }
 
 int64_t Linear::flops() const { return weight_.active(); }

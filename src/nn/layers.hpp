@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "nn/module.hpp"
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/sparse.hpp"
 
@@ -11,10 +11,10 @@ namespace rp::nn {
 
 /// 2-D convolution over [N, C, H, W] batches. The forward and both
 /// gradients are computed straight from the input and dy through a plan
-/// built at construction (tensor/gemm.hpp ConvPlan), with no patch matrix.
+/// built at construction (tensor/conv.hpp ConvPlan), with no patch matrix.
 ///
 /// The weight is stored as a [out_c, in_c*k*k] matrix, which is both the
-/// GEMM operand and the row-per-filter layout structured pruners expect.
+/// conv kernels' operand and the row-per-filter layout structured pruners expect.
 /// Input spatial size is fixed at construction (all networks in this
 /// repository run on fixed-size synthetic images), which lets the layer
 /// pre-compute its geometry and report mask-aware FLOPs without a dry run.
@@ -61,7 +61,9 @@ class Conv2d final : public Module {
   std::vector<uint8_t> zero_masks_;
 };
 
-/// Fully connected layer over [N, in] batches: y = x Wᵀ + b.
+/// Fully connected layer over [N, in] batches: y = x Wᵀ + b. The forward and
+/// both gradients run on the conv kernels as 1×1 convs whose pixels are the
+/// batch (tensor/conv.hpp BatchPlane).
 class Linear final : public Module {
  public:
   Linear(std::string name, int64_t in, int64_t out, bool use_bias, Rng& rng);
@@ -90,6 +92,8 @@ class Linear final : public Module {
 
   bool sparse_ = false;
   sparse::SparseWeight sparse_w_;  ///< compiled weight while sparse_ is on
+  /// conv_zero_masks of the weight the dense forward runs, as in Conv2d.
+  std::vector<uint8_t> zero_masks_;
 };
 
 /// Batch normalization over the channel axis of [N, C, H, W].

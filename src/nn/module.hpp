@@ -98,7 +98,7 @@ class Module {
 
   /// When sparse execution is on, layers with prunable weights compile their
   /// current weight through the sparse engine (tensor/sparse.hpp) and run
-  /// forward GEMMs through the compiled form — bit-identical to the dense
+  /// their forward through the compiled form — bit-identical to the dense
   /// path. Off (the default) discards the compiled weights; training and
   /// pruning always mutate the dense tensors, so callers must re-enable
   /// after any weight change. Composites forward to children.

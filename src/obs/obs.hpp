@@ -36,12 +36,12 @@ enum class Counter : int {
   kCacheReadErrors,     ///< artifact loads that failed on plain I/O errors
   kIoRetries,           ///< durable-layer retries of transient I/O faults
   kFaultsInjected,      ///< fault-injection points that fired (RP_FAULTS)
-  kGemmCalls,           ///< tensor-layer GEMM invocations
+  kGemmCalls,           ///< dense conv-kernel calls (conv and Linear products)
   kPoolTasks,           ///< tasks submitted to the worker pool
   kPoolChunks,          ///< parallel_for chunks executed (all lanes)
   kTrainSamples,        ///< samples seen by nn::train (per epoch pass)
   kEvalSamples,         ///< samples scored by nn::evaluate
-  kGemmSparseCalls,     ///< sparse-engine matmuls dispatched (CSR layout)
+  kGemmSparseCalls,     ///< CSR conv-kernel calls (conv and Linear forwards)
   kSparseNnz,           ///< nonzeros in weights compiled to a sparse layout
   kSparseBytesSaved,    ///< dense bytes minus compiled bytes, summed over compiles
   kMemArenaBytes,       ///< always 0; shim for bench_e2e, goes with the next benchmark change

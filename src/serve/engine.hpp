@@ -61,11 +61,11 @@ struct RouteInfo {
 /// stop() is always answered. start()/stop() cycles may repeat.
 ///
 /// Determinism: batch *composition* depends on timing, but responses do
-/// not — each sample's logits are computed row-independently (row-blocked
-/// GEMM with fixed k-order reductions, per-sample conv, eval-mode batch
-/// norm), so a request's response is memcmp-identical to a direct
-/// nn::predict on the same variant no matter which requests it shared a
-/// batch with. tests/test_serve.cpp enforces this across RP_THREADS ×
+/// not — each sample's logits are computed row-independently (a classifier
+/// head whose per-sample chains never mix samples, per-sample conv,
+/// eval-mode batch norm), so a request's response is memcmp-identical to
+/// a direct nn::predict on the same variant no matter which requests it
+/// shared a batch with. tests/test_serve.cpp enforces this across RP_THREADS ×
 /// RP_SPARSE.
 ///
 /// Memory: request staging buffers and response rows live in per-slot

@@ -1,4 +1,4 @@
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 
 #include <algorithm>
 #include <climits>
@@ -15,63 +15,6 @@ namespace rp {
 
 namespace {
 
-// Cache blocking: B is consumed in KC x NC panels (128 KiB packed,
-// comfortably L2-resident) so every A element loaded is multiplied against a
-// hot panel instead of streaming the whole of B per output row.
-constexpr int64_t kKC = 256;
-constexpr int64_t kNC = 128;
-
-// Below this many multiply-adds the parallel dispatch overhead dominates;
-// small GEMMs (per-sample conv layers, classifier heads) run serial and are
-// instead parallelized by the loops above them.
-constexpr int64_t kParallelMinMacs = int64_t{1} << 18;
-
-// Scratch reused across gemm calls. Nested parallel loops run inline on the
-// current lane, so each lane owns exactly one set and the buffers stop being
-// reallocated per call.
-// rp-lint: allow(R3) per-lane GEMM scratch; never aliased across lanes
-thread_local std::vector<float> tl_at_buf, tl_bt_buf, tl_pack_buf;
-
-void gemm_blocked(const float* a, const float* b, float* c, int64_t m, int64_t n, int64_t k) {
-  // The panel microkernel — C[i0:i1, 0:nc] += A[i0:i1, 0:kc] @
-  // panel[0:kc, 0:nc] — is ISA-dispatched (simd.hpp). Each output row is
-  // owned by exactly one task and its k-accumulation order is fixed by the
-  // (jc, pc) loop nest and unchanged by vectorization (lanes run across
-  // columns only), so results are bit-identical for any thread count AND any
-  // RP_SIMD setting.
-  const auto kernel_panel = simd::kernels().gemm_panel;
-  const bool threaded = 2 * m * n * k >= kParallelMinMacs;
-  const int64_t grain =
-      std::max<int64_t>(1, m / (4 * static_cast<int64_t>(parallel::num_threads())));
-  for (int64_t jc = 0; jc < n; jc += kNC) {
-    const int64_t nc = std::min(kNC, n - jc);
-    for (int64_t pc = 0; pc < k; pc += kKC) {
-      const int64_t kc = std::min(kKC, k - pc);
-      // Pack the panel only when its rows are strided (nc < n); a
-      // single-block B is already contiguous and used in place.
-      const float* panel = b + pc * n + jc;
-      int64_t ldp = n;
-      if (nc < n) {
-        tl_pack_buf.resize(static_cast<size_t>(kc * nc));  // rp-lint: allow(R12) thread_local pack scratch; grows once, steady-state alloc-free
-        for (int64_t p = 0; p < kc; ++p) {
-          std::memcpy(tl_pack_buf.data() + p * nc, b + (pc + p) * n + jc,
-                      static_cast<size_t>(nc) * sizeof(float));
-        }
-        panel = tl_pack_buf.data();
-        ldp = nc;
-      }
-      auto rows = [&](int64_t i0, int64_t i1) {
-        kernel_panel(a + pc, k, panel, ldp, c + jc, n, i0, i1, kc, nc);
-      };
-      if (threaded) {
-        parallel::parallel_for(0, m, grain, rows);
-      } else {
-        rows(0, m);
-      }
-    }
-  }
-}
-
 // Output indices o in [0, n) whose input coordinate o * stride + off lands
 // inside [0, extent), as the half-open range [*lo, *hi).
 void valid_span(int64_t off, int64_t extent, int64_t stride, int64_t n, int64_t* lo,
@@ -81,10 +24,10 @@ void valid_span(int64_t off, int64_t extent, int64_t stride, int64_t n, int64_t*
   *hi = std::max(*hi, *lo);
 }
 
-// Output channels per task when one sample's conv forward is split across
-// lanes (a batch of one; inside the per-sample loop the split runs inline):
-// about four tasks per lane, in whole blocks of the kernels' four-channel
-// register tiles.
+// Output channels per task when a conv forward is split across lanes (a
+// batch of one or a Linear batch; inside a per-sample loop the split runs
+// inline): about four tasks per lane, in whole blocks of the kernels'
+// four-channel register tiles.
 int64_t channel_grain(int64_t out_c) {
   const int64_t per = out_c / (4 * static_cast<int64_t>(parallel::num_threads()));
   return std::max<int64_t>(4, (per + 3) / 4 * 4);
@@ -127,59 +70,6 @@ void pad_image(const float* image, const ConvGeom& g, float* padded) {
 }
 
 }  // namespace
-
-// rp-lint: hot
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a, bool trans_b,
-          bool accumulate) {
-  if (a.ndim() != 2 || b.ndim() != 2 || c.ndim() != 2) {
-    throw std::invalid_argument("gemm expects 2-D tensors");
-  }
-  obs::count(obs::Counter::kGemmCalls);
-  const int64_t m = trans_a ? a.size(1) : a.size(0);
-  const int64_t k = trans_a ? a.size(0) : a.size(1);
-  const int64_t kb = trans_b ? b.size(1) : b.size(0);
-  const int64_t n = trans_b ? b.size(0) : b.size(1);
-  if (k != kb || c.size(0) != m || c.size(1) != n) {
-    throw std::invalid_argument("gemm: incompatible shapes " + a.shape().to_string() + " x " +
-                                b.shape().to_string() + " -> " + c.shape().to_string());
-  }
-  if (m == 0 || n == 0) return;  // C is empty — nothing to zero or accumulate
-
-  // An overwriting call zeroes C first, chunked so large C matrices clear in
-  // parallel (disjoint ranges — bit-deterministic).
-  float* cd = c.data().data();
-  if (!accumulate) {
-    parallel::parallel_for(0, m * n, int64_t{1} << 16, [&](int64_t lo, int64_t hi) {
-      std::memset(cd + lo, 0, static_cast<size_t>(hi - lo) * sizeof(float));
-    });
-  }
-  if (k == 0) return;
-
-  // Materialize transposed operands once; at this repository's matrix sizes
-  // (K, N <= a few thousand) the copy is cheaper than strided inner loops.
-  const float* ad = a.data().data();
-  const float* bd = b.data().data();
-  if (trans_a) {
-    tl_at_buf.resize(static_cast<size_t>(m * k));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-    transpose(ad, k, m, tl_at_buf.data());
-    ad = tl_at_buf.data();
-  }
-  if (trans_b) {
-    tl_bt_buf.resize(static_cast<size_t>(k * n));  // rp-lint: allow(R12) thread_local transpose scratch; grows once, steady-state alloc-free
-    transpose(bd, n, k, tl_bt_buf.data());
-    bd = tl_bt_buf.data();
-  }
-
-  gemm_blocked(ad, bd, cd, m, n, k);
-}
-
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a, bool trans_b) {
-  const int64_t m = trans_a ? a.size(1) : a.size(0);
-  const int64_t n = trans_b ? b.size(0) : b.size(1);
-  Tensor c(Shape{m, n});
-  gemm(a, b, c, trans_a, trans_b);
-  return c;
-}
 
 void transpose(const float* src, int64_t rows, int64_t cols, float* dst) {
   constexpr int64_t kTile = 16;
@@ -271,6 +161,44 @@ simd::ConvArgs ConvPlan::args(const float* planes, const float* bias, float* y) 
   return simd::ConvArgs{planes, off.data(), static_cast<int64_t>(off.size()), oh, ow, ld(), bias, y};
 }
 
+simd::ConvDwArgs ConvPlan::dw_args(const float* planes, const float* dyt, int64_t out_c,
+                                   float* dwt) const {
+  return simd::ConvDwArgs{planes, off.data(), g.patch(), oh, ow, ld(), dyt, out_c, dwt};
+}
+
+simd::ConvDxArgs ConvPlan::dx_args(const float* wx, int64_t out_c, const float* dy,
+                                   float* dx) const {
+  return simd::ConvDxArgs{dy,     wx,       taps.data(), tap_ptr.data(), out_c, g.in_c,
+                          g.in_h, g.in_w, g.stride,    oh,             ow,    dx};
+}
+
+BatchPlane::BatchPlane(const Tensor& x)
+    : n(x.size(0)),
+      cols(x.size(1)),
+      xt(Tensor::scratch(Shape{cols, n})),
+      off(static_cast<size_t>(cols), 0, mem::ScratchAllocator<int32_t>(true)) {
+  if (cols * n > INT32_MAX) {
+    throw std::invalid_argument("BatchPlane: batch too large for 32-bit plane offsets");
+  }
+  for (int64_t r = 0; r < cols; ++r) off[static_cast<size_t>(r)] = static_cast<int32_t>(r * n);
+  transpose(x.data().data(), n, cols, xt.data().data());
+}
+
+simd::ConvArgs BatchPlane::args(float* yt) const {
+  return simd::ConvArgs{xt.data().data(), off.data(), cols, 1, n, n, nullptr, yt};
+}
+
+simd::ConvDwArgs BatchPlane::dw_args(const float* dy, int64_t out_c, float* dwt) const {
+  return simd::ConvDwArgs{xt.data().data(), off.data(), cols, 1, n, n, dy, out_c, dwt};
+}
+
+simd::ConvDxArgs batch_dx_args(const float* w, int64_t out_c, int64_t in_c, int64_t n,
+                               const float* dyt, float* dxt) {
+  static constexpr simd::ConvTap kTap{0, 0, 0};
+  static constexpr int32_t kTapPtr[2] = {0, 1};
+  return simd::ConvDxArgs{dyt, w, &kTap, kTapPtr, out_c, in_c, 1, n, 1, 1, n, dxt};
+}
+
 void conv_zero_masks(const Tensor& w, uint8_t* nz) {
   const int64_t out_c = w.size(0), patch = w.size(1);
   const float* wd = w.data().data();
@@ -285,10 +213,8 @@ void conv_zero_masks(const Tensor& w, uint8_t* nz) {
 }
 
 // rp-lint: hot
-void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, const float* planes,
-                  const float* bias, float* y) {
+void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a) {
   obs::count(obs::Counter::kGemmCalls);
-  const simd::ConvArgs a = plan.args(planes, bias, y);
   const int64_t out_c = w.size(0);
   const float* wd = w.data().data();
   const auto kernel = simd::kernels().conv_dense;
@@ -311,21 +237,15 @@ void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx) {
 }
 
 // rp-lint: hot
-void conv_grad_weight(const ConvPlan& plan, const float* planes, const float* dyt, int64_t out_c,
-                      float* dwt) {
+void conv_grad_weight(const simd::ConvDwArgs& a) {
   obs::count(obs::Counter::kGemmCalls);
-  simd::kernels().conv_dw(simd::ConvDwArgs{planes, plan.off.data(), plan.g.patch(), plan.oh,
-                                           plan.ow, plan.ld(), dyt, out_c, dwt});
+  simd::kernels().conv_dw(a);
 }
 
 // rp-lint: hot
-void conv_grad_input(const ConvPlan& plan, const float* wx, int64_t out_c, const float* dy,
-                     float* dx) {
+void conv_grad_input(const simd::ConvDxArgs& a) {
   obs::count(obs::Counter::kGemmCalls);
-  const ConvGeom& g = plan.g;
-  simd::kernels().conv_dx(simd::ConvDxArgs{dy, wx, plan.taps.data(), plan.tap_ptr.data(), out_c,
-                                           g.in_c, g.in_h, g.in_w, g.stride, plan.oh, plan.ow,
-                                           dx});
+  simd::kernels().conv_dx(a);
 }
 
 }  // namespace rp

@@ -9,21 +9,11 @@
 
 namespace rp {
 
-/// C = op(A) @ op(B) for row-major float matrices, or C += op(A) @ op(B)
-/// when `accumulate`.
-///
-/// `a` is [M, K] (or [K, M] when `trans_a`), `b` is [K, N] (or [N, K] when
-/// `trans_b`), `c` is [M, N]. The kernel is cache-blocked (B packed into
-/// L2-sized panels) and parallelized over row blocks via the shared thread
-/// pool (see tensor/parallel.hpp); each output row is owned by exactly one
-/// lane and keeps the serial accumulation order, so results are bit-identical
-/// for any RP_THREADS value. Rows of op(A) that are entirely zero after
-/// masking are skipped, so structured pruning shows real wall-clock savings.
-void gemm(const Tensor& a, const Tensor& b, Tensor& c, bool trans_a = false, bool trans_b = false,
-          bool accumulate = false);
-
-/// Convenience allocation form: returns op(A) @ op(B).
-Tensor matmul(const Tensor& a, const Tensor& b, bool trans_a = false, bool trans_b = false);
+/// Below this many multiply-adds a kernel call runs on the calling lane:
+/// the parallel dispatch would cost more than it saves. Small calls (the
+/// per-sample conv of a batch, a classifier head) are instead parallelized
+/// by the loops above them.
+inline constexpr int64_t kParallelMinMacs = int64_t{1} << 18;
 
 /// Dense row-major transpose: dst[cols, rows] = src[rows, cols]ᵀ. Walks
 /// square tiles so both the reads and the writes stay within a few cache
@@ -90,7 +80,40 @@ struct ConvPlan {
   /// Kernel arguments for one sample: `planes` from fill(), `bias` [out_c]
   /// or nullptr, output `y` [out_c, out_h*out_w].
   simd::ConvArgs args(const float* planes, const float* bias, float* y) const;
+  /// Weight-gradient arguments for one sample: `planes` from fill(), the
+  /// output gradient dyt [out_h·out_w, out_c], and dwt [patch, out_c].
+  simd::ConvDwArgs dw_args(const float* planes, const float* dyt, int64_t out_c,
+                           float* dwt) const;
+  /// Input-gradient arguments for one sample: `wx` from conv_dx_weight, the
+  /// output gradient dy [out_c, out_h, out_w], and dx [in_c, in_h, in_w].
+  simd::ConvDxArgs dx_args(const float* wx, int64_t out_c, const float* dy, float* dx) const;
 };
+
+/// A batch x [n, cols] as the input of a 1×1 conv whose n pixels are the
+/// samples: the plane xᵀ [cols, n], patch row r at offset r·n, one output row
+/// of n positions. Linear runs its forward and weight gradient on the conv
+/// kernels through it. xᵀ and the offsets are scratch, built once per call.
+/// Throws std::invalid_argument when cols·n overflows the kernels' 32-bit
+/// plane offsets.
+struct BatchPlane {
+  explicit BatchPlane(const Tensor& x);
+
+  int64_t n = 0, cols = 0;
+  Tensor xt;  ///< [cols, n]
+  std::vector<int32_t, mem::ScratchAllocator<int32_t>> off;
+
+  /// Forward arguments writing yᵀ [out_c, n], with no bias.
+  simd::ConvArgs args(float* yt) const;
+  /// Weight-gradient arguments: dy [n, out_c] is the position-major output
+  /// gradient as it is, and dwt [cols, out_c] receives dWᵀ.
+  simd::ConvDwArgs dw_args(const float* dy, int64_t out_c, float* dwt) const;
+};
+
+/// Input-gradient arguments of a Linear as a 1×1, stride-1, one-phase conv
+/// over n pixels: the one tap {0, 0, 0}, wx = w [out_c, in_c] itself, the
+/// output gradient dyt = dyᵀ [out_c, 1, n], and dxt = dxᵀ [in_c, 1, n].
+simd::ConvDxArgs batch_dx_args(const float* w, int64_t out_c, int64_t in_c, int64_t n,
+                               const float* dyt, float* dxt);
 
 /// Bytes of zero masks conv_zero_masks writes for an [out_c, patch] weight.
 inline int64_t conv_mask_size(int64_t out_c, int64_t patch) { return (out_c + 3) / 4 * patch; }
@@ -101,15 +124,14 @@ inline int64_t conv_mask_size(int64_t out_c, int64_t patch) { return (out_c + 3)
 /// (out_c * patch tests, against out_c * patch * out_h * out_w MACs).
 void conv_zero_masks(const Tensor& w, uint8_t* nz);
 
-/// Implicit-GEMM conv forward of one sample with a dense weight
-/// [out_c, patch] and its zero masks: y[o, p] = Σ_row w[o, row] ·
-/// patch(row, p) (+ bias[o] when `bias` is non-null) for `planes` from
-/// ConvPlan::fill, written to y [out_c, out_h·out_w]. Per output element
-/// this is the fma chain `gemm` runs on the explicit patch matrix — rows in
-/// ascending order, zero weights skipped — so results are bit-identical to
-/// it, for any RP_THREADS. Counts one gemm.calls.
-void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, const float* planes,
-                  const float* bias, float* y);
+/// Conv forward with a dense weight w [out_c, patch] and its zero masks:
+/// y[o, p] = Σ_r w[o, r] · patch(r, p) (+ bias[o] when a.bias is non-null)
+/// for the arguments of ConvPlan::args or BatchPlane::args. Each output is
+/// the fma chain over r ascending from +0, zero weights skipped, then one
+/// add of the bias. Output channels go across lanes above kParallelMinMacs;
+/// each is owned by one lane, so results are bit-identical for any
+/// RP_THREADS. Counts one gemm.calls.
+void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a);
 
 /// The input-gradient kernel's weight operand wx [k·k, out_c, in_c] (as
 /// many floats as w), from a dense conv weight w [out_c, patch]: wx[(t·out_c + o)·in_c + c] =
@@ -117,24 +139,18 @@ void conv_forward(const Tensor& w, const uint8_t* nz, const ConvPlan& plan, cons
 /// side across input channels.
 void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx);
 
-/// Weight gradient of one sample, transposed: dwt[r, o] = Σ_pos dyt[pos, o]
-/// · patch(r, pos) for `planes` from ConvPlan::fill, the output gradient
-/// dyt [out_h·out_w, out_c] and dwt [patch, out_c]. Per element this is the
-/// fma chain `gemm` runs for dy @ colsᵀ on the explicit patch matrix —
-/// positions ascending from +0, terms whose dy is 0 skipped — so results
-/// are bit-identical to it. Counts one gemm.calls.
-void conv_grad_weight(const ConvPlan& plan, const float* planes, const float* dyt, int64_t out_c,
-                      float* dwt);
+/// Weight gradient, transposed: dwt[r, o] = Σ_pos dyt[pos, o] · patch(r, pos)
+/// for the arguments of ConvPlan::dw_args or BatchPlane::dw_args. Each
+/// element is the fma chain over positions ascending from +0, terms whose dy
+/// is 0 skipped. Runs on the calling lane. Counts one gemm.calls.
+void conv_grad_weight(const simd::ConvDwArgs& a);
 
-/// Input gradient of one sample: dx [in_c, in_h, in_w] from the output
-/// gradient dy [out_c, out_h, out_w], read in place, and `wx` from
-/// conv_dx_weight. Each pixel is the sum col2im forms when it folds
-/// dcols = Wᵀ @ dy into a zeroed image — +0, plus the contributions of its
-/// patch rows in ascending order, each the chain `gemm` runs over output
-/// channels ascending with zero weights skipped — gathered in registers and
-/// stored once, so results are bit-identical to that fold. Counts one
-/// gemm.calls.
-void conv_grad_input(const ConvPlan& plan, const float* wx, int64_t out_c, const float* dy,
-                     float* dx);
+/// Input gradient for the arguments of ConvPlan::dx_args or batch_dx_args.
+/// Each pixel is +0 plus, for its taps in ascending order, the chain over
+/// output channels ascending from +0 of fma(w, dy, ·) with zero weights
+/// skipped, gathered in registers and stored once: the sum col2im forms
+/// when it folds dcols = Wᵀ @ dy into a zeroed image. Runs on the calling
+/// lane. Counts one gemm.calls.
+void conv_grad_input(const simd::ConvDxArgs& a);
 
 }  // namespace rp

@@ -9,7 +9,7 @@ namespace rp::parallel {
 
 /// Non-owning callable reference: the dispatch currency of the pool API.
 /// Two raw pointers, never allocates — unlike std::function, whose closure
-/// copy spills to the heap past the 16-byte SBO. The conv/gemm loop bodies
+/// copy spills to the heap past the 16-byte SBO. The conv loop bodies
 /// all capture more than that, which put one operator-new on EVERY
 /// parallel_for call and made the pool boundary the biggest remaining heap
 /// source in a warmed-up train step (measured by

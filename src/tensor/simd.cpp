@@ -22,20 +22,6 @@ namespace {
 // bit-exactness argument; see DESIGN.md §6. GCC still auto-vectorizes these
 // loops, so the scalar path is a correctness reference, not a slow path.
 
-void s_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    for (int64_t p = 0; p < kc; ++p) {
-      const float av = ai[p];
-      if (av == 0.0f) continue;  // masked / sparse rows are common after pruning
-      const float* bp = panel + p * ldp;
-      for (int64_t j = 0; j < nc; ++j) ci[j] = std::fma(av, bp[j], ci[j]);
-    }
-  }
-}
-
 void fma_row(float w, const float* __restrict src, float* __restrict dst, int64_t n) {
   for (int64_t x = 0; x < n; ++x) dst[x] = std::fma(w, src[x], dst[x]);
 }
@@ -282,7 +268,7 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kScalarKernels{
-    s_gemm_panel, scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
+    scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
     s_relu,       s_relu_grad,  s_add,        s_mul,
     s_add_scalar, s_scale, s_div_scalar, s_clamp,
     s_reduce_max, s_reduce_abs_max,      s_sgd_step,

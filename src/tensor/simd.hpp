@@ -4,15 +4,15 @@
 #include <string>
 
 // Runtime-dispatched SIMD kernels for the handful of hot loops the profiler
-// actually sees: the GEMM panel microkernel, the dense and CSR implicit-GEMM
-// conv kernels and the conv backward's two gradient kernels, and the
-// elementwise/reduction ops used by layers, the optimizer, and the losses.
+// actually sees: the dense and CSR implicit-GEMM conv kernels and the conv
+// backward's two gradient kernels, which run every conv and Linear layer,
+// and the elementwise/reduction ops used by layers, the optimizer, and the
+// losses.
 //
 // Contract (DESIGN.md §6): every ISA implementation of a kernel performs the
 // *same per-element arithmetic in the same order* as the scalar fallback.
-// Vector lanes run across the n (column / element-index) dimension only, so
-// each output element still sees its k-accumulation in the original serial
-// order, and every multiply-add is a single-rounded fused op (`std::fma` in
+// Vector lanes run across independent output elements only, so each output
+// element still sees its accumulation chain in the original serial order, and every multiply-add is a single-rounded fused op (`std::fma` in
 // scalar code, vfmadd/vfma in vector code). Results are therefore
 // bit-identical across scalar/AVX2/NEON and across RP_SIMD=off/on — the same
 // guarantee the thread pool gives for RP_THREADS=1 vs N.
@@ -24,7 +24,8 @@ namespace rp::simd {
 
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
 
-// One sample of an implicit-GEMM conv forward (tensor/gemm.hpp ConvPlan).
+// One sample of an implicit-GEMM conv forward (tensor/conv.hpp ConvPlan), or
+// a Linear batch as a 1×1 conv (BatchPlane).
 // Patch row r reads output position (y, x) at plane[off[r] + y * ld + x].
 struct ConvArgs {
   const float* plane;   // the sample's phase planes
@@ -36,7 +37,7 @@ struct ConvArgs {
   float* y;             // [out_c, oh * ow] output, overwritten
 };
 
-// One sample of the conv weight gradient (tensor/gemm.hpp
+// One sample of the conv weight gradient (tensor/conv.hpp
 // conv_grad_weight): the forward's planes and offsets, read against the
 // sample's output gradient in transposed layout.
 struct ConvDwArgs {
@@ -50,14 +51,14 @@ struct ConvDwArgs {
   float* dwt;           // [patch, out_c] weight gradient, transposed, overwritten
 };
 
-// One tap of an input-gradient phase (tensor/gemm.hpp ConvPlan::taps):
+// One tap of an input-gradient phase (tensor/conv.hpp ConvPlan::taps):
 // kernel tap t = ki·k + kj carries output (m + dy, q + dx) into input pixel
 // (s·m + a, s·q + b) of phase (a, b).
 struct ConvTap {
   int32_t t, dy, dx;
 };
 
-// One sample of the conv input gradient (tensor/gemm.hpp conv_grad_input).
+// One sample of the conv input gradient (tensor/conv.hpp conv_grad_input).
 // Input pixels are split by stride phase: phase (a, b) = rows a, a+s, … and
 // columns b, b+s, …, a [ceil((in_h-a)/s), ceil((in_w-b)/s)] grid. Its taps
 // are taps[tap_ptr[a·s + b] : tap_ptr[a·s + b + 1]], in ascending t.
@@ -74,33 +75,25 @@ struct ConvDxArgs {
 // entries are non-null in every table (an ISA that has no custom version of
 // an op points at the scalar one).
 struct Kernels {
-  // C[i0:i1, 0:nc] += A[i0:i1, 0:kc] @ panel[0:kc, 0:nc].
-  // Row-major, panel rows contiguous with stride ldp. Must preserve the
-  // pruning-aware zero-row skip: a == 0.0f element of A contributes nothing
-  // and its panel row is not touched.
-  void (*gemm_panel)(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                     int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc);
-
   // Implicit-GEMM conv forward over output channels [o0, o1) of one sample:
   //   y[o, y·ow + x] = Σ_r w[o, r] · plane[off[r] + y·ld + x]  (+ bias[o])
-  // as the exact fma chain gemm_panel runs on the explicit patch matrix:
-  // patch rows r ascending, every multiply-add single-rounded from a +0
-  // start, weights equal to 0.0f skipped (so a NaN/Inf input under a zero
-  // weight never reaches the output), then one add of bias[o] when bias is
-  // non-null. conv_dense reads a dense row-major w [out_c, patch] plus its
-  // zero masks nz (tensor/gemm.hpp conv_zero_masks), which it may use in
+  // as one fma chain per output element: patch rows r ascending, every
+  // multiply-add single-rounded from a +0 start, weights equal to 0.0f
+  // skipped (so a NaN/Inf input under a zero weight never reaches the
+  // output), then one add of bias[o] when bias is non-null. conv_dense reads a dense row-major w [out_c, patch] plus its
+  // zero masks nz (tensor/conv.hpp conv_zero_masks), which it may use in
   // place of testing w; conv_csr walks row o's stored CSR entries
   // (values[row_ptr[o]:row_ptr[o+1]] at ascending columns col_idx[...]) in
   // order, so a stored 0.0f stays a no-op too. Neither reads the plane
-  // outside the rows and columns the outputs cover. conv_csr is the only CSR
-  // kernel: a Linear layer runs on it as a 1×1 conv (tensor/sparse.hpp).
+  // outside the rows and columns the outputs cover. A Linear layer runs on
+  // both as a 1×1 conv over its batch (tensor/conv.hpp BatchPlane).
   void (*conv_dense)(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
                      int64_t o1);
   void (*conv_csr)(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
                    const float* values, int64_t o0, int64_t o1);
 
-  // Conv backward of one sample, as the chains gemm_panel ran on the
-  // explicit patch matrix, with no patch matrix built.
+  // Conv backward of one sample (or a Linear batch), with no patch matrix
+  // built.
   //   conv_dw: dwt[r, o] = Σ_pos dyt[pos, o] · plane[off[r] + y·ld + x]
   //     (pos = y·ow + x), the chain of dW = dy @ colsᵀ: positions ascending,
   //     one single-rounded fma each from a +0 start, terms whose dyt is

@@ -3,8 +3,8 @@
 // the file is an empty stub on toolchains without AVX2 support. Dispatch
 // guarantees these kernels only run on CPUs reporting avx2+fma.
 //
-// Bit-exactness (DESIGN.md §6): lanes run across the element index (the GEMM
-// n dimension) only, every multiply-add is a fused vfmadd — the same
+// Bit-exactness (DESIGN.md §6): lanes run across the element index (output
+// positions, channels or pixels) only, every multiply-add is a fused vfmadd — the same
 // single-rounded op as the scalar kernels' std::fma — and NaN/-0 semantics of
 // max/min/compare formulations are chosen to match the scalar std::max /
 // std::clamp exactly. Outputs are therefore bit-identical to RP_SIMD=off.
@@ -22,94 +22,6 @@
 namespace rp::simd {
 
 namespace {
-
-// -- GEMM panel microkernel -------------------------------------------------
-//
-// Same loop nest as the scalar kernel (row i -> k index p -> column j), but
-// the C row is held in ymm accumulators across the whole kc loop, cutting the
-// C load/store traffic that bounds the scalar kernel. Legal because each
-// output element still accumulates its k terms in the original order:
-// ((c + a0*b0) + a1*b1) + ... . Column blocks of 64 use 8 independent
-// accumulator chains to cover FMA latency; 16/8-wide tiers and a scalar
-// std::fma tail handle the remainder. The pruning-aware zero skip is kept in
-// every tier: av == 0 contributes exactly nothing in fused arithmetic
-// (c + 0*b == c for finite c), and skipping also avoids touching the panel
-// row of a pruned weight.
-
-void a_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    int64_t j = 0;
-    for (; j + 64 <= nc; j += 64) {
-      float* cj = ci + j;
-      __m256 c0 = _mm256_loadu_ps(cj + 0);
-      __m256 c1 = _mm256_loadu_ps(cj + 8);
-      __m256 c2 = _mm256_loadu_ps(cj + 16);
-      __m256 c3 = _mm256_loadu_ps(cj + 24);
-      __m256 c4 = _mm256_loadu_ps(cj + 32);
-      __m256 c5 = _mm256_loadu_ps(cj + 40);
-      __m256 c6 = _mm256_loadu_ps(cj + 48);
-      __m256 c7 = _mm256_loadu_ps(cj + 56);
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* bp = panel + p * ldp + j;
-        c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 0), c0);
-        c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 8), c1);
-        c2 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 16), c2);
-        c3 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 24), c3);
-        c4 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 32), c4);
-        c5 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 40), c5);
-        c6 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 48), c6);
-        c7 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 56), c7);
-      }
-      _mm256_storeu_ps(cj + 0, c0);
-      _mm256_storeu_ps(cj + 8, c1);
-      _mm256_storeu_ps(cj + 16, c2);
-      _mm256_storeu_ps(cj + 24, c3);
-      _mm256_storeu_ps(cj + 32, c4);
-      _mm256_storeu_ps(cj + 40, c5);
-      _mm256_storeu_ps(cj + 48, c6);
-      _mm256_storeu_ps(cj + 56, c7);
-    }
-    for (; j + 16 <= nc; j += 16) {
-      float* cj = ci + j;
-      __m256 c0 = _mm256_loadu_ps(cj + 0);
-      __m256 c1 = _mm256_loadu_ps(cj + 8);
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const __m256 va = _mm256_set1_ps(av);
-        const float* bp = panel + p * ldp + j;
-        c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 0), c0);
-        c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(bp + 8), c1);
-      }
-      _mm256_storeu_ps(cj + 0, c0);
-      _mm256_storeu_ps(cj + 8, c1);
-    }
-    for (; j + 8 <= nc; j += 8) {
-      float* cj = ci + j;
-      __m256 c0 = _mm256_loadu_ps(cj);
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        c0 = _mm256_fmadd_ps(_mm256_set1_ps(av), _mm256_loadu_ps(panel + p * ldp + j), c0);
-      }
-      _mm256_storeu_ps(cj, c0);
-    }
-    if (j < nc) {
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const float* bp = panel + p * ldp;
-        for (int64_t jj = j; jj < nc; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
 
 // -- implicit-GEMM conv kernels -------------------------------------------
 //
@@ -880,7 +792,7 @@ void a_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kAvx2Kernels{
-    a_gemm_panel, a_conv_dense, a_conv_csr, a_conv_dw, a_conv_dx,
+    a_conv_dense, a_conv_csr, a_conv_dw, a_conv_dx,
     a_relu,       a_relu_grad,  a_add,      a_mul,
     a_add_scalar, a_scale, a_div_scalar, a_clamp,
     a_reduce_max, a_reduce_abs_max,      a_sgd_step,

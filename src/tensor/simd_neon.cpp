@@ -20,57 +20,6 @@ namespace rp::simd {
 
 namespace {
 
-// Same loop nest as the scalar kernel with the C row held in q registers
-// across the kc loop. Tiers: 16 columns (4 independent accumulator chains),
-// 4 columns, scalar std::fma tail; pruning-aware zero skip in every tier.
-void n_gemm_panel(const float* a, int64_t lda, const float* panel, int64_t ldp, float* c,
-                  int64_t ldc, int64_t i0, int64_t i1, int64_t kc, int64_t nc) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* ai = a + i * lda;
-    float* ci = c + i * ldc;
-    int64_t j = 0;
-    for (; j + 16 <= nc; j += 16) {
-      float* cj = ci + j;
-      float32x4_t c0 = vld1q_f32(cj + 0);
-      float32x4_t c1 = vld1q_f32(cj + 4);
-      float32x4_t c2 = vld1q_f32(cj + 8);
-      float32x4_t c3 = vld1q_f32(cj + 12);
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const float32x4_t va = vdupq_n_f32(av);
-        const float* bp = panel + p * ldp + j;
-        c0 = vfmaq_f32(c0, va, vld1q_f32(bp + 0));
-        c1 = vfmaq_f32(c1, va, vld1q_f32(bp + 4));
-        c2 = vfmaq_f32(c2, va, vld1q_f32(bp + 8));
-        c3 = vfmaq_f32(c3, va, vld1q_f32(bp + 12));
-      }
-      vst1q_f32(cj + 0, c0);
-      vst1q_f32(cj + 4, c1);
-      vst1q_f32(cj + 8, c2);
-      vst1q_f32(cj + 12, c3);
-    }
-    for (; j + 4 <= nc; j += 4) {
-      float* cj = ci + j;
-      float32x4_t c0 = vld1q_f32(cj);
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        c0 = vfmaq_f32(c0, vdupq_n_f32(av), vld1q_f32(panel + p * ldp + j));
-      }
-      vst1q_f32(cj, c0);
-    }
-    if (j < nc) {
-      for (int64_t p = 0; p < kc; ++p) {
-        const float av = ai[p];
-        if (av == 0.0f) continue;
-        const float* bp = panel + p * ldp;
-        for (int64_t jj = j; jj < nc; ++jj) ci[jj] = std::fma(av, bp[jj], ci[jj]);
-      }
-    }
-  }
-}
-
 // std::max(v, 0.0f) is (v < 0) ? 0 : v — expressed as a select so NaN and
 // -0.0f pass through exactly like the scalar version.
 void n_relu(float* x, int64_t n) {
@@ -195,7 +144,7 @@ void n_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
 }
 
 constexpr Kernels kNeonKernels{
-    n_gemm_panel, scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
+    scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
     n_relu,       n_relu_grad,  n_add,      n_mul,
     n_add_scalar, n_scale, n_div_scalar, n_clamp,
     n_reduce_max, n_reduce_abs_max,      n_sgd_step,

@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
-#include <climits>
 #include <cstdlib>
 #include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/envspec.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 
@@ -40,11 +39,9 @@ Mode resolve_from_env() {
 // rp-lint: allow(R3) mode pin for tests; all layouts are bit-identical
 std::atomic<int> g_forced{-1};
 
-// Same parallel-dispatch threshold and grain recipe as gemm.cpp: below
-// ~2^18 multiply-adds the dispatch overhead dominates, and each output row
-// is owned by exactly one lane so any thread count is bit-identical.
-constexpr int64_t kParallelMinMacs = int64_t{1} << 18;
-
+// Output rows per task above kParallelMinMacs: about four tasks per lane.
+// Each output row is owned by exactly one lane, so any thread count is
+// bit-identical.
 int64_t row_grain(int64_t rows) {
   return std::max<int64_t>(1, rows / (4 * static_cast<int64_t>(parallel::num_threads())));
 }
@@ -57,8 +54,7 @@ void require_2d(const Tensor& w, const char* who) {
 }
 
 // Runs the CSR conv kernel over every output channel of a CSR weight,
-// parallel over disjoint channels above the MAC threshold. Both CSR entries
-// — a conv sample and a Linear batch — come here.
+// parallel over disjoint channels above kParallelMinMacs.
 void csr_forward(const SparseWeight& w, const simd::ConvArgs& a) {
   obs::count(obs::Counter::kGemmSparseCalls);
   const auto kernel = simd::kernels().conv_csr;
@@ -70,6 +66,30 @@ void csr_forward(const SparseWeight& w, const simd::ConvArgs& a) {
   } else {
     channels(0, w.rows);
   }
+}
+
+void check_linear(int64_t rows, int64_t cols, const Tensor& x, const Tensor& y,
+                  const char* who) {
+  if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != cols || y.size(0) != x.size(0) ||
+      y.size(1) != rows) {
+    throw std::invalid_argument(std::string(who) + ": incompatible shapes");
+  }
+}
+
+// y = x @ wᵀ for a [rows, x.size(1)] weight, as a 1×1 conv over the batch:
+// `forward` runs a conv forward kernel on the plane xᵀ into the scratch yᵀ,
+// which is then transposed into y.
+template <typename Forward>
+void batch_forward(int64_t rows, const Tensor& x, Tensor& y, Forward&& forward) {
+  const int64_t n = x.size(0);
+  if (n == 0 || rows == 0 || x.size(1) == 0) {
+    y.zero();
+    return;
+  }
+  const BatchPlane plane(x);
+  Tensor yt = Tensor::scratch(Shape{rows, n});
+  forward(plane.args(yt.data().data()));
+  transpose(yt.data().data(), rows, n, y.data().data());
 }
 
 }  // namespace
@@ -202,59 +222,25 @@ Tensor SparseWeight::to_dense() const {
 // Execution
 
 // rp-lint: hot
-void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y) {
-  const int64_t n = x.size(0), rows = w.size(0);
-  if (y.ndim() != 2 || y.size(0) != n || y.size(1) != rows) {
-    throw std::invalid_argument("sparse::dense_rhs_matmul_into: incompatible shapes");
-  }
-  Tensor yt = Tensor::scratch(Shape{rows, n});
-  gemm(w, x, yt, /*trans_a=*/false, /*trans_b=*/true);
-  transpose(yt.data().data(), rows, n, y.data().data());
+void dense_rhs_matmul_into(const Tensor& w, const uint8_t* nz, const Tensor& x, Tensor& y) {
+  require_2d(w, "sparse::dense_rhs_matmul_into");
+  check_linear(w.size(0), w.size(1), x, y, "sparse::dense_rhs_matmul_into");
+  batch_forward(w.size(0), x, y, [&](const simd::ConvArgs& a) { rp::conv_forward(w, nz, a); });
 }
 
 // rp-lint: hot
-void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y) {
-  if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != w.cols || y.size(0) != x.size(0) ||
-      y.size(1) != w.rows) {
-    throw std::invalid_argument("sparse::rhs_matmul_into: incompatible shapes");
-  }
-  const int64_t n = x.size(0);
-  if (w.layout == Layout::kDense) {
-    dense_rhs_matmul_into(w.dense, x, y);
-    return;
-  }
-  if (n == 0 || w.rows == 0 || w.cols == 0) {
-    y.zero();
-    return;
-  }
-  if (w.cols * n > INT32_MAX) {
-    throw std::invalid_argument(
-        "sparse::rhs_matmul_into: input too large for 32-bit plane offsets");
-  }
-  // Yᵀ = W @ Xᵀ as a 1×1 conv over the transposed batch: input channel r
-  // is row r of Xᵀ, one output row of n positions. The same once-per-call
-  // transpose rp::gemm makes for trans_b, and fma(w, x, c) == fma(x, w, c)
-  // bitwise, so this matches the dense gemm(x, w, y, false, true) reference
-  // exactly.
-  Tensor xt = Tensor::scratch(Shape{w.cols, n});
-  Tensor yt = Tensor::scratch(Shape{w.rows, n});
-  std::vector<int32_t, mem::ScratchAllocator<int32_t>> off(
-      static_cast<size_t>(w.cols), 0, mem::ScratchAllocator<int32_t>(true));
-  for (int64_t r = 0; r < w.cols; ++r) off[static_cast<size_t>(r)] = static_cast<int32_t>(r * n);
-  transpose(x.data().data(), n, w.cols, xt.data().data());
-  csr_forward(w, simd::ConvArgs{xt.data().data(), off.data(), w.cols, 1, n, n, nullptr,
-                                yt.data().data()});
-  transpose(yt.data().data(), w.rows, n, y.data().data());
+void rhs_matmul_into(const SparseWeight& w, const uint8_t* nz, const Tensor& x, Tensor& y) {
+  check_linear(w.rows, w.cols, x, y, "sparse::rhs_matmul_into");
+  batch_forward(w.rows, x, y, [&](const simd::ConvArgs& a) { conv_forward(w, nz, a); });
 }
 
 // rp-lint: hot
-void conv_forward(const SparseWeight& w, const uint8_t* nz, const ConvPlan& plan,
-                  const float* planes, const float* bias, float* y) {
+void conv_forward(const SparseWeight& w, const uint8_t* nz, const simd::ConvArgs& a) {
   if (w.layout == Layout::kDense) {
-    rp::conv_forward(w.dense, nz, plan, planes, bias, y);
+    rp::conv_forward(w.dense, nz, a);
     return;
   }
-  csr_forward(w, plan.args(planes, bias, y));
+  csr_forward(w, a);
 }
 
 }  // namespace rp::sparse

@@ -4,7 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 #include "tensor/tensor.hpp"
 
 // Compile-to-sparse execution engine: turns a pruned layer's measured zero
@@ -13,13 +13,12 @@
 // becomes wall-clock speedup on the eval path.
 //
 // Contract (DESIGN.md §6 "Sparse execution"): the sparse path is bit-identical
-// to the dense reference. Per output element the stored nonzeros are walked
-// in ascending k order with single-rounded fused multiply-adds — the exact
-// chain the dense gemm executes after its own zero skip, because a term with
-// a 0.0f operand is a bit-level no-op for finite operands (c + ±0 == c when
-// the accumulator starts from +0 and can never become -0). The memcmp tests
-// in tests/test_sparse.cpp enforce this across RP_SPARSE × RP_SIMD ×
-// RP_THREADS.
+// to the dense one. Every output element is one chain: the nonzero weights
+// in ascending column order, each a single-rounded fused multiply-add, from a
+// +0 start. The dense kernel walks every column and skips the zero weights;
+// the CSR kernel walks only the stored ones, so both run the same terms. The
+// memcmp tests in tests/test_sparse.cpp enforce this across RP_SPARSE ×
+// RP_SIMD × RP_THREADS.
 //
 // Selection: RP_SPARSE=off forces the dense path, =csr forces CSR for every
 // compiled layer, and unset/auto picks per layer from the measured density
@@ -56,9 +55,8 @@ enum class Layout { kDense = 0, kCsr = 1 };
 /// Display name of a layout ("dense", "csr").
 const char* layout_name(Layout l);
 
-/// auto keeps a layer dense at or above this density — at half density the
-/// dense kernel's zero skip plus its packing reuse already win — and compiles
-/// everything sparser to CSR.
+/// auto keeps a layer dense at or above this density and compiles everything
+/// sparser to CSR (DESIGN.md §6 has the measured crossover).
 inline constexpr double kDenseDensityThreshold = 0.5;
 
 /// What the compiler decided for one weight matrix, and why.
@@ -107,32 +105,27 @@ SparseWeight compile(const Tensor& w);
 // ---------------------------------------------------------------------------
 // Execution
 
-/// Y[n, rows] = X[n, cols] @ Wᵀ — the Linear forward. Every output is the
-/// chain over cols ascending from +0 with zero weights skipped, so NaN or
-/// Inf input under a zero weight never reaches an output, whatever the
-/// layout. A dense layout runs dense_rhs_matmul_into. A CSR layout runs
-/// the CSR conv kernel as a 1×1 conv over Xᵀ (plane [cols, n], patch row r
-/// at offset r·n, one output row of n positions) into a transposed Yᵀ, both
-/// on scratch, counting gemm.sparse_calls. Both layouts are memcmp-identical
-/// for any RP_THREADS and RP_SIMD. Throws std::invalid_argument when cols·n
-/// overflows the kernel's 32-bit plane offsets.
-void rhs_matmul_into(const SparseWeight& w, const Tensor& x, Tensor& y);
+/// y [n, rows] = x [n, cols] @ Wᵀ — the Linear forward — as a 1×1 conv over
+/// the batch (rp::BatchPlane): the layout's conv forward kernel runs on the
+/// plane xᵀ into a scratch yᵀ, which is transposed into y. Every output is
+/// the chain over cols ascending from +0 with zero weights skipped, so NaN
+/// or Inf input under a zero weight never reaches an output, whatever the
+/// layout. `nz` is the conv_zero_masks of w.dense for a dense layout and is
+/// ignored for CSR. Both layouts are memcmp-identical for any RP_THREADS and
+/// RP_SIMD. Throws std::invalid_argument unless x is [n, cols] and y is
+/// [n, rows], or when cols·n overflows the kernels' 32-bit plane offsets.
+void rhs_matmul_into(const SparseWeight& w, const uint8_t* nz, const Tensor& x, Tensor& y);
 
-/// The dense form of rhs_matmul_into for an uncompiled [rows, cols] weight
-/// matrix (a Linear whose sparse path is off): gemm(w, x, yᵀ,
-/// /*trans_a=*/false, /*trans_b=*/true) into a scratch Yᵀ, then one
-/// transpose into y. gemm's zero skip then tests the weights, as the conv
-/// and CSR kernels do, so a NaN or Inf input under a zero weight never
-/// reaches y. Throws std::invalid_argument unless y is [n, rows].
-void dense_rhs_matmul_into(const Tensor& w, const Tensor& x, Tensor& y);
+/// rhs_matmul_into for an uncompiled dense [rows, cols] weight (a Linear
+/// whose sparse path is off) and its conv_zero_masks `nz`: the same code
+/// path as a compiled dense layout.
+void dense_rhs_matmul_into(const Tensor& w, const uint8_t* nz, const Tensor& x, Tensor& y);
 
-/// Implicit-GEMM conv forward of one sample (tensor/gemm.hpp ConvPlan) for
-/// a compiled [out_c, patch] weight: a dense layout runs rp::conv_forward
+/// Conv forward for a compiled [out_c, patch] weight, with the arguments of
+/// ConvPlan::args or BatchPlane::args: a dense layout runs rp::conv_forward
 /// with `nz`, the conv_zero_masks of w.dense (counting gemm.calls); a CSR
 /// layout runs the CSR conv kernel and ignores `nz` (counting
-/// gemm.sparse_calls). Both are bit-identical to the dense patch-matrix
-/// GEMM, for any RP_THREADS.
-void conv_forward(const SparseWeight& w, const uint8_t* nz, const ConvPlan& plan,
-                  const float* planes, const float* bias, float* y);
+/// gemm.sparse_calls). Both run the same chain, for any RP_THREADS.
+void conv_forward(const SparseWeight& w, const uint8_t* nz, const simd::ConvArgs& a);
 
 }  // namespace rp::sparse

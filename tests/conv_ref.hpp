@@ -1,14 +1,40 @@
 #pragma once
 
-// Reference conv data movement for the bit-identity tests: a bounds-tested
-// im2col and the textbook col2im fold, the formulation the conv kernels
-// replace.
+// References for the bit-identity tests: a plain fma-chain matrix product,
+// a bounds-tested im2col and the textbook col2im fold, the formulation the
+// conv kernels replace.
 
+#include <cmath>
 #include <cstring>
 
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 
 namespace rp::testing {
+
+/// Which operand of ref_matmul has its zero terms skipped.
+enum class SkipZeros { kA, kB };
+
+/// c = op(a) @ op(b), or c += op(a) @ op(b) when `accumulate`, where op
+/// transposes its operand when ta / tb is set. Each element of c is one
+/// explicit std::fma chain over k ascending, from +0 (from c's own value
+/// when accumulating), skipping the terms whose `skip` operand is 0.0f.
+inline void ref_matmul(const Tensor& a, const Tensor& b, Tensor& c, bool ta, bool tb,
+                       SkipZeros skip, bool accumulate = false) {
+  const int64_t m = ta ? a.size(1) : a.size(0), k = ta ? a.size(0) : a.size(1);
+  const int64_t n = tb ? b.size(0) : b.size(1);
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = accumulate ? c.at(i, j) : 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = ta ? a.at(p, i) : a.at(i, p);
+        const float bv = tb ? b.at(j, p) : b.at(p, j);
+        if ((skip == SkipZeros::kA ? av : bv) == 0.0f) continue;
+        acc = std::fma(av, bv, acc);
+      }
+      c.at(i, j) = acc;
+    }
+  }
+}
 
 /// cols [patch, out_h·out_w] of one image [in_c, in_h, in_w], zero outside it.
 inline void ref_im2col(const float* image, const ConvGeom& g, Tensor& cols) {

@@ -1,20 +1,24 @@
-#include "tensor/gemm.hpp"
+#include "tensor/conv.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "conv_ref.hpp"
 #include "tensor/ops.hpp"
-#include "tensor/parallel.hpp"
 
 namespace rp {
 namespace {
 
-/// Reference triple-loop GEMM for validation.
+// ----- the reference product ------------------------------------------------------
+//
+// Every kernel bit-identity test compares against testing::ref_matmul, so
+// the reference itself is checked here against a double-precision triple
+// loop, for every transpose combination.
+
+/// Reference triple-loop product in double precision.
 Tensor naive_matmul(const Tensor& a, const Tensor& b, bool ta, bool tb) {
   const int64_t m = ta ? a.size(1) : a.size(0);
   const int64_t k = ta ? a.size(0) : a.size(1);
@@ -43,7 +47,8 @@ TEST_P(GemmTest, MatchesNaiveReference) {
   Rng rng(static_cast<uint64_t>(m * 1000 + k * 100 + n * 10 + ta * 2 + tb));
   Tensor a = Tensor::randn(ta ? Shape{k, m} : Shape{m, k}, rng);
   Tensor b = Tensor::randn(tb ? Shape{n, k} : Shape{k, n}, rng);
-  Tensor got = matmul(a, b, ta, tb);
+  Tensor got(Shape{m, n});
+  testing::ref_matmul(a, b, got, ta, tb, testing::SkipZeros::kA);
   Tensor want = naive_matmul(a, b, ta, tb);
   ASSERT_EQ(got.shape(), want.shape());
   for (int64_t i = 0; i < got.numel(); ++i) {
@@ -58,106 +63,6 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmParam{3, 4, 5, true, true}, GemmParam{16, 32, 8, false, false},
                       GemmParam{7, 13, 7, true, true}, GemmParam{64, 27, 64, false, false},
                       GemmParam{1, 100, 1, false, true}));
-
-TEST(Gemm, BetaOneAccumulates) {
-  Rng rng(2);
-  Tensor a = Tensor::randn(Shape{2, 2}, rng);
-  Tensor b = Tensor::randn(Shape{2, 2}, rng);
-  Tensor c(Shape{2, 2});
-  gemm(a, b, c);
-  Tensor once = c;
-  gemm(a, b, c, false, false, /*accumulate=*/true);
-  for (int64_t i = 0; i < 4; ++i) EXPECT_NEAR(c[i], 2.0f * once[i], 1e-4f);
-}
-
-TEST(Gemm, IncompatibleShapesThrow) {
-  Tensor a(Shape{2, 3}), b(Shape{4, 5}), c(Shape{2, 5});
-  EXPECT_THROW(gemm(a, b, c), std::invalid_argument);
-  Tensor b2(Shape{3, 5}), c_bad(Shape{3, 5});
-  EXPECT_THROW(gemm(a, b2, c_bad), std::invalid_argument);
-}
-
-TEST(Gemm, NonMatrixThrows) {
-  Tensor a(Shape{2, 3, 4}), b(Shape{3, 2}), c(Shape{2, 2});
-  EXPECT_THROW(gemm(a, b, c), std::invalid_argument);
-}
-
-// ----- thread-count determinism ---------------------------------------------------
-
-/// Restores the default lane count when a test exits, pass or fail.
-struct ThreadGuard {
-  ~ThreadGuard() { parallel::set_num_threads(0); }
-};
-
-/// The determinism contract (DESIGN.md "Threading model"): parallel GEMM must
-/// be bit-identical to serial for every transpose combination, including
-/// ragged sizes that do not divide the KC/NC block sizes and shapes large
-/// enough to cross the parallel-dispatch threshold.
-TEST(GemmDeterminism, ParallelMatchesSerialBitExact) {
-  ThreadGuard guard;
-  const std::tuple<int, int, int> shapes[] = {
-      {1, 1, 1},        // degenerate
-      {3, 5, 2},        // tiny, below the parallel threshold
-      {33, 129, 65},    // ragged, spans one KC/NC block boundary
-      {130, 257, 131},  // ragged, multiple K blocks
-      {96, 300, 260},   // multiple N panels (packed path)
-  };
-  for (const auto& [m, k, n] : shapes) {
-    for (const bool ta : {false, true}) {
-      for (const bool tb : {false, true}) {
-        Rng rng(static_cast<uint64_t>(m * 7919 + k * 131 + n * 17 + ta * 2 + tb));
-        Tensor a = Tensor::randn(ta ? Shape{k, m} : Shape{m, k}, rng);
-        Tensor b = Tensor::randn(tb ? Shape{n, k} : Shape{k, n}, rng);
-
-        parallel::set_num_threads(1);
-        const Tensor serial = matmul(a, b, ta, tb);
-        parallel::set_num_threads(8);
-        const Tensor threaded = matmul(a, b, ta, tb);
-
-        ASSERT_EQ(serial.shape(), threaded.shape());
-        ASSERT_EQ(std::memcmp(serial.data().data(), threaded.data().data(),
-                              static_cast<size_t>(serial.numel()) * sizeof(float)),
-                  0)
-            << "m=" << m << " k=" << k << " n=" << n << " ta=" << ta << " tb=" << tb;
-      }
-    }
-  }
-}
-
-/// The zeroing pre-pass is chunked across lanes too; accumulating and
-/// overwriting calls must both stay bit-identical to serial.
-TEST(GemmDeterminism, BetaPathsMatchSerialBitExact) {
-  ThreadGuard guard;
-  Rng rng(99);
-  Tensor a = Tensor::randn(Shape{130, 70}, rng);
-  Tensor b = Tensor::randn(Shape{70, 190}, rng);
-  for (const bool accumulate : {false, true}) {
-    Tensor c1 = Tensor::full(Shape{130, 190}, 0.25f);
-    Tensor c8 = c1;
-    parallel::set_num_threads(1);
-    gemm(a, b, c1, false, false, accumulate);
-    parallel::set_num_threads(8);
-    gemm(a, b, c8, false, false, accumulate);
-    ASSERT_EQ(std::memcmp(c1.data().data(), c8.data().data(),
-                          static_cast<size_t>(c1.numel()) * sizeof(float)),
-              0)
-        << "accumulate=" << accumulate;
-  }
-}
-
-/// k == 0 contributes nothing: an overwriting call still zeroes C, an
-/// accumulating one leaves it as it was, and empty C stays a no-op.
-TEST(Gemm, EmptyShapesKeepBetaSemantics) {
-  Tensor a(Shape{2, 0}), b(Shape{0, 3});
-  Tensor c = Tensor::full(Shape{2, 3}, 2.0f);
-  gemm(a, b, c, false, false, /*accumulate=*/true);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 2.0f);
-  gemm(a, b, c);
-  for (int64_t i = 0; i < c.numel(); ++i) EXPECT_EQ(c[i], 0.0f);
-
-  Tensor a0(Shape{0, 4}), b0(Shape{4, 3}), c0(Shape{0, 3});
-  EXPECT_NO_THROW(gemm(a0, b0, c0));
-}
 
 // ----- conv plan ------------------------------------------------------------------
 //

@@ -136,8 +136,8 @@ TEST(Conv2d, FlopsTrackMask) {
 //
 // The layer computes its output and both gradients straight from the input
 // and dy, with no patch matrix. The reference below is the plain
-// formulation those replace: a bounds-tested im2col, gemm with trans_b /
-// trans_a, and col2im into a zeroed image (conv_ref.hpp). Every output and
+// formulation those replace: a bounds-tested im2col, plain fma-chain
+// products (ref_matmul), and col2im into a zeroed image (conv_ref.hpp). Every output and
 // gradient element is the same chain in both, so they must agree bit for
 // bit.
 
@@ -162,7 +162,7 @@ ConvResult ref_conv(const ConvGeom& g, const Tensor& w, const Tensor* bias, cons
   Tensor dy_n(Shape{out_c, oplane}), dw_n(Shape{out_c, g.patch()}), dcols(Shape{g.patch(), oplane});
   for (int64_t i = 0; i < n; ++i) {
     rp::testing::ref_im2col(x.data().data() + i * isz, g, cols);
-    gemm(w, cols, y_n);
+    rp::testing::ref_matmul(w, cols, y_n, false, false, rp::testing::SkipZeros::kA);
     float* y = r.y.data().data() + i * out_c * oplane;
     for (int64_t c = 0; c < out_c; ++c) {
       for (int64_t p = 0; p < oplane; ++p) {
@@ -171,9 +171,9 @@ ConvResult ref_conv(const ConvGeom& g, const Tensor& w, const Tensor* bias, cons
     }
     std::memcpy(dy_n.data().data(), dy.data().data() + i * out_c * oplane,
                 static_cast<size_t>(out_c * oplane) * sizeof(float));
-    gemm(dy_n, cols, dw_n, /*trans_a=*/false, /*trans_b=*/true);
+    rp::testing::ref_matmul(dy_n, cols, dw_n, false, /*tb=*/true, rp::testing::SkipZeros::kA);
     for (int64_t j = 0; j < dw_n.numel(); ++j) r.dw[j] += dw_n[j];
-    gemm(w, dy_n, dcols, /*trans_a=*/true);
+    rp::testing::ref_matmul(w, dy_n, dcols, /*ta=*/true, false, rp::testing::SkipZeros::kA);
     rp::testing::ref_col2im(dcols, g, r.dx.data().data() + i * isz);
     if (bias) {
       for (int64_t c = 0; c < out_c; ++c) {
@@ -391,35 +391,111 @@ TEST(Linear, KnownValue) {
   EXPECT_FLOAT_EQ(y.at(0, 1), 6.5f);   // 3+4-0.5
 }
 
-/// A NaN input under an all-zero weight column reaches no output, whichever
-/// path runs the forward: the training forward (sparse off), the compiled
-/// dense layout, CSR, or whatever auto picks (dense at this density).
+/// Linear runs its forward and both gradients on the conv kernels as 1×1
+/// convs over the batch. Each must equal the plain chain (ref_matmul) bit
+/// for bit under every RP_SPARSE layout, ISA and lane count:
+///   y  = x @ Wᵀ + b, the chain skipping zero weights;
+///   dW = grad + (dyᵀ @ x from +0, skipping zero dy), here on a non-zero
+///        incoming grad, where the sum differs from a chain that starts at
+///        grad;
+///   dx = dy @ W, the chain skipping zero weights.
+/// Batch 2049 passes the scalar kernels' 2048-float buffer. x, W and dy are
+/// exact-size heap tensors, so the sanitizer build catches a read past
+/// them. Column 3 of W is zero and x holds a NaN there, which reaches no
+/// output, whichever path runs the forward. Last, non-finite dy and
+/// weights pin which zeros the input gradient skips.
 TEST(Linear, ZeroWeightColumnKeepsNanOutOfEveryLayout) {
-  Rng rng(14);
-  Linear fc("fc", 8, 4, true, rng);
-  std::vector<Parameter*> params;
-  fc.collect_params(params);
-  params[1]->value = Tensor::randn(Shape{4}, rng);
-  Parameter& w = fc.weight();
-  for (int64_t o = 0; o < 4; ++o) w.mask.at(o, 3) = 0.0f;
-  w.enforce_mask();
-  Tensor x = Tensor::randn(Shape{2, 8}, rng);
-  x.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
+  using rp::testing::SkipZeros;
+  constexpr int64_t kIn = 13, kOut = 10;
+  for (const int64_t n : {1, 7, 64, 2049}) {
+    for (const int per_mille : {1000, 500, 100}) {
+      SCOPED_TRACE("batch " + std::to_string(n) + ", density " + std::to_string(per_mille));
+      Rng rng(static_cast<uint64_t>(n * 1000 + per_mille));
+      Linear fc("fc", kIn, kOut, true, rng);
+      std::vector<Parameter*> params;
+      fc.collect_params(params);
+      Parameter& w = fc.weight();
+      params[1]->value = Tensor::randn(Shape{kOut}, rng);
+      for (float& v : w.value.data()) {
+        if (rng.uniform() * 1000.0f >= static_cast<float>(per_mille)) v = 0.0f;
+      }
+      for (int64_t o = 0; o < kOut; ++o) w.value.at(o, 3) = 0.0f;
+      Tensor x = Tensor::randn(Shape{n, kIn}, rng);
+      x.at(0, 3) = std::numeric_limits<float>::quiet_NaN();
+      Tensor dy = Tensor::randn(Shape{n, kOut}, rng);
+      for (int64_t i = 0; i < dy.numel(); i += 5) dy[i] = 0.0f;
+      const Tensor grad0 = Tensor::randn(Shape{kOut, kIn}, rng);
 
-  const Tensor ref = fc.forward(x, true);
-  for (const float v : ref.data()) ASSERT_TRUE(std::isfinite(v));
-  Tensor dense(ref.shape());
-  sparse::rhs_matmul_into(sparse::compile(w.value, sparse::Mode::kOff), x, dense);
-  simd::add(dense.data().data(), params[1]->value.data().data(), 4);
-  simd::add(dense.data().data() + 4, params[1]->value.data().data(), 4);
-  EXPECT_TRUE(same_bits(dense, ref)) << "dense layout";
-  for (const sparse::Mode m : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
-    sparse::force(m);
-    fc.set_sparse(true);
-    EXPECT_TRUE(same_bits(fc.forward(x, false), ref)) << "RP_SPARSE=" << sparse::mode_name(m);
-    fc.set_sparse(false);
+      Tensor y_ref(Shape{n, kOut}), sum(Shape{kOut, kIn}), dx_ref(Shape{n, kIn});
+      rp::testing::ref_matmul(x, w.value, y_ref, false, /*tb=*/true, SkipZeros::kB);
+      for (int64_t i = 0; i < n; ++i) {
+        for (int64_t o = 0; o < kOut; ++o) y_ref.at(i, o) += params[1]->value[o];
+      }
+      for (const float v : y_ref.data()) ASSERT_TRUE(std::isfinite(v));
+      rp::testing::ref_matmul(dy, x, sum, /*ta=*/true, false, SkipZeros::kA);
+      Tensor dw_ref = grad0;
+      for (int64_t j = 0; j < dw_ref.numel(); ++j) dw_ref[j] += sum[j];
+      rp::testing::ref_matmul(dy, w.value, dx_ref, false, false, SkipZeros::kB);
+
+      for (const int threads : {1, 2, 4}) {
+        for (const bool scalar : {false, true}) {
+          SCOPED_TRACE(std::to_string(threads) + (scalar ? " threads, scalar" : " threads, simd"));
+          parallel::set_num_threads(threads);
+          if (scalar) {
+            simd::force(simd::Isa::kScalar);
+          } else {
+            simd::reset();
+          }
+          w.grad = grad0;
+          EXPECT_TRUE(same_bits(fc.forward(x, true), y_ref)) << "training forward";
+          EXPECT_TRUE(same_bits(fc.backward(dy), dx_ref)) << "dx";
+          EXPECT_TRUE(same_bits(w.grad, dw_ref)) << "dW";
+          for (const sparse::Mode m : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+            sparse::force(m);
+            fc.set_sparse(true);
+            EXPECT_TRUE(same_bits(fc.forward(x, false), y_ref))
+                << "RP_SPARSE=" << sparse::mode_name(m);
+            fc.set_sparse(false);
+          }
+          sparse::reset();
+        }
+      }
+      simd::reset();
+      parallel::set_num_threads(0);
+    }
   }
-  sparse::reset();
+
+  // dx skips zero weights, as the conv kernels do, not zero dy: a NaN or Inf
+  // dy under a pruned output unit reaches no dx, and a 0 dy against an Inf
+  // weight gives NaN. From a +0 gradient, dW is the chain from +0 itself.
+  Rng rng(15);
+  Linear fc("fc", 6, 4, false, rng);
+  Parameter& w = fc.weight();
+  for (int64_t c = 0; c < 6; ++c) w.value.at(2, c) = 0.0f;
+  w.value.at(1, 4) = std::numeric_limits<float>::infinity();
+  const Tensor x = Tensor::randn(Shape{2, 6}, rng);
+  Tensor dy = Tensor::randn(Shape{2, 4}, rng);
+  dy.at(0, 2) = std::numeric_limits<float>::quiet_NaN();
+  dy.at(1, 2) = std::numeric_limits<float>::infinity();
+  dy.at(0, 1) = 0.0f;
+  Tensor sum(Shape{4, 6});
+  rp::testing::ref_matmul(dy, x, sum, /*ta=*/true, false, SkipZeros::kA);
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar" : "simd");
+    if (scalar) simd::force(simd::Isa::kScalar);
+    w.grad.zero();
+    fc.forward(x, true);
+    const Tensor dx = fc.backward(dy);
+    EXPECT_TRUE(std::isnan(dx.at(0, 4)));
+    EXPECT_TRUE(std::isinf(dx.at(1, 4)));
+    for (int64_t c = 0; c < 6; ++c) {
+      if (c == 4) continue;
+      EXPECT_TRUE(std::isfinite(dx.at(0, c))) << c;
+      EXPECT_TRUE(std::isfinite(dx.at(1, c))) << c;
+    }
+    EXPECT_TRUE(same_bits(w.grad, sum));
+    simd::reset();
+  }
 }
 
 TEST(Linear, InputGradient) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/pruner.hpp"
 #include "data/synth.hpp"
@@ -11,8 +12,8 @@
 #include "nn/models.hpp"
 #include "nn/optim.hpp"
 #include "nn/trainer.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/sparse.hpp"
 
 namespace rp {
 namespace {
@@ -49,6 +50,16 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TensorAlgebraTest, ::testing::Values(1, 2, 7, 64
 
 // ----- GEMM linearity --------------------------------------------------------------
 
+/// x @ wᵀ through the Linear forward entry: the dense conv kernel as a 1×1
+/// conv over the batch.
+Tensor linear_product(const Tensor& x, const Tensor& w) {
+  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(w.size(0), w.size(1))));
+  conv_zero_masks(w, nz.data());
+  Tensor y(Shape{x.size(0), w.size(0)});
+  sparse::dense_rhs_matmul_into(w, nz.data(), x, y);
+  return y;
+}
+
 class GemmLinearityTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(GemmLinearityTest, RightDistributive) {
@@ -57,19 +68,19 @@ TEST_P(GemmLinearityTest, RightDistributive) {
   Tensor a = Tensor::randn(Shape{n, n}, rng);
   Tensor b1 = Tensor::randn(Shape{n, n}, rng);
   Tensor b2 = Tensor::randn(Shape{n, n}, rng);
-  Tensor lhs = matmul(a, b1 + b2);
-  Tensor rhs = matmul(a, b1) + matmul(a, b2);
+  Tensor lhs = linear_product(a, b1 + b2);
+  Tensor rhs = linear_product(a, b1) + linear_product(a, b2);
   EXPECT_LT(l2_distance(lhs, rhs) / std::max(1.0f, l2_norm(lhs)), 1e-4f);
 }
 
 TEST_P(GemmLinearityTest, TransposeConsistency) {
-  // (A @ B)^T == B^T @ A^T, realized via the trans flags.
+  // (A @ Bᵀ)ᵀ == B @ Aᵀ: the product with its operands swapped.
   Rng rng(static_cast<uint64_t>(GetParam()) + 17);
   const int64_t n = GetParam();
   Tensor a = Tensor::randn(Shape{n, n}, rng);
   Tensor b = Tensor::randn(Shape{n, n}, rng);
-  Tensor ab = matmul(a, b);
-  Tensor btat = matmul(b, a, /*trans_a=*/true, /*trans_b=*/true);  // B^T A^T
+  Tensor ab = linear_product(a, b);
+  Tensor btat = linear_product(b, a);
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < n; ++j) {
       EXPECT_NEAR(ab.at(i, j), btat.at(j, i), 1e-3f);

@@ -41,7 +41,7 @@ struct Expected {
   int line;
 };
 
-constexpr std::array<Expected, 9> kExpected = {{
+constexpr std::array<Expected, 8> kExpected = {{
     {"r1_nondeterminism.cpp", "R1", 4},
     {"r2_threading.cpp", "R2", 3},
     {"r3_mutable_static.cpp", "R3", 4},
@@ -50,7 +50,6 @@ constexpr std::array<Expected, 9> kExpected = {{
     {"r6_cstyle_cast.cpp", "R6", 3},
     {"r7_grain.cpp", "R7", 3},
     {"r8_raw_artifact_io.cpp", "R8", 3},
-    {"r9_dense_gemm.cpp", "R9", 3},
 }};
 
 TEST(RpLint, EachRuleFiresAtExactlyTheExpectedLine) {
@@ -78,12 +77,12 @@ TEST(RpLint, SuppressedLinesStaySilent) {
   }
 }
 
-TEST(RpLint, AllFixturesTogetherReportNineViolations) {
+TEST(RpLint, AllFixturesTogetherReportEightViolations) {
   std::string args = "--force-all-rules";
   for (const Expected& e : kExpected) args += " " + kFixtures + "/" + e.file;
   const LintRun r = run_lint(args);
   EXPECT_EQ(r.exit_code, 1);
-  EXPECT_NE(r.output.find("rp-lint: 9 violation(s)"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("rp-lint: 8 violation(s)"), std::string::npos) << r.output;
 }
 
 TEST(RpLint, CleanFileExitsZero) {
@@ -91,17 +90,17 @@ TEST(RpLint, CleanFileExitsZero) {
   const LintRun r = run_lint("--list-rules");
   EXPECT_EQ(r.exit_code, 0);
   for (const char* id :
-       {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12"}) {
+       {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R10", "R11", "R12"}) {
     EXPECT_NE(r.output.find(id), std::string::npos) << r.output;
   }
 }
 
 TEST(RpLint, PathScopingExemptsAllowlistedFiles) {
   // Without --force-all-rules a fixture path is outside src/core//src/exp
-  // (R4/R6), outside src/ entirely (R8/R12), and outside src/nn//src/core
-  // (R9), so the path-scoped rules must not fire at all.
-  for (const char* file : {"r4_unordered.cpp", "r6_cstyle_cast.cpp", "r8_raw_artifact_io.cpp",
-                           "r9_dense_gemm.cpp", "r12_hot_alloc.cpp"}) {
+  // (R4/R6) and outside src/ entirely (R8/R12), so the path-scoped rules
+  // must not fire at all.
+  for (const char* file :
+       {"r4_unordered.cpp", "r6_cstyle_cast.cpp", "r8_raw_artifact_io.cpp", "r12_hot_alloc.cpp"}) {
     SCOPED_TRACE(file);
     const LintRun r = run_lint(kFixtures + std::string("/") + file);
     EXPECT_EQ(r.exit_code, 0) << r.output;

@@ -1,8 +1,8 @@
 // SIMD dispatch + bit-exactness suite (DESIGN.md §6). The contract under
 // test: every kernel produces bit-identical output under RP_SIMD=off and the
 // dispatched ISA, for any thread count — including ragged shapes that miss
-// the vector width, pruned (zero) rows hitting the GEMM zero-skip, and
-// alpha/beta variants. On a host without a vector ISA the forced comparisons
+// the vector width, pruned (zero) rows hitting the zero skips, and
+// accumulating gradients. On a host without a vector ISA the forced comparisons
 // degenerate to scalar-vs-scalar and pass trivially; the dispatch tests
 // still verify the RP_SIMD resolution machinery.
 
@@ -13,10 +13,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "conv_ref.hpp"
 #include "nn/layers.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
 
@@ -55,7 +57,7 @@ TEST(SimdDispatch, ForceAndResetPinTheIsa) {
   simd::reset();
   // Whatever auto resolves to, the kernel table must be complete.
   const simd::Kernels& k = simd::kernels();
-  EXPECT_NE(k.gemm_panel, nullptr);
+  EXPECT_NE(k.conv_dense, nullptr);
   EXPECT_NE(k.relu, nullptr);
   EXPECT_NE(k.sgd_step, nullptr);
 }
@@ -63,7 +65,6 @@ TEST(SimdDispatch, ForceAndResetPinTheIsa) {
 TEST(SimdDispatch, EveryCompiledTableIsComplete) {
   for (const simd::Kernels* t : {simd::avx2_kernels(), simd::neon_kernels()}) {
     if (t == nullptr) continue;
-    EXPECT_NE(t->gemm_panel, nullptr);
     EXPECT_NE(t->conv_dense, nullptr);
     EXPECT_NE(t->conv_csr, nullptr);
     EXPECT_NE(t->conv_dw, nullptr);
@@ -82,66 +83,99 @@ TEST(SimdDispatch, EveryCompiledTableIsComplete) {
   }
 }
 
-// ----- GEMM ----------------------------------------------------------------
+// ----- Linear products on the conv kernels ---------------------------------------
 
-/// Shapes chosen to hit every microkernel tier and boundary: n % 8 != 0
-/// (scalar tail), n >= 64 (wide tier), k % KC != 0 (partial panels), plus
-/// sizes crossing the NC packing path.
+struct LinearRun {
+  Tensor y, dx, dw;
+};
+
+/// Training forward and backward of a bias-free Linear with weight w, whose
+/// gradient starts at grad0.
+LinearRun run_linear(const Tensor& w, const Tensor& x, const Tensor& dy, const Tensor& grad0) {
+  Rng rng(0);
+  nn::Linear fc("fc", w.size(1), w.size(0), false, rng);
+  fc.weight().value = w;
+  fc.weight().grad = grad0;
+  LinearRun r;
+  r.y = fc.forward(x, true);
+  r.dx = fc.backward(dy);
+  r.dw = fc.weight().grad;
+  return r;
+}
+
+/// The same three products as plain chains: y = x @ wᵀ and dx = dy @ w
+/// skipping zero weights, dW = grad0 + dyᵀ @ x skipping zero dy.
+LinearRun ref_linear(const Tensor& w, const Tensor& x, const Tensor& dy, const Tensor& grad0) {
+  using testing::SkipZeros;
+  LinearRun r{Tensor(Shape{x.size(0), w.size(0)}), Tensor(x.shape()), Tensor(w.shape())};
+  testing::ref_matmul(x, w, r.y, false, /*tb=*/true, SkipZeros::kB);
+  testing::ref_matmul(dy, w, r.dx, false, false, SkipZeros::kB);
+  testing::ref_matmul(dy, x, r.dw, /*ta=*/true, false, SkipZeros::kA);
+  for (int64_t j = 0; j < r.dw.numel(); ++j) r.dw[j] += grad0[j];
+  return r;
+}
+
+void expect_linear_run(const LinearRun& got, const LinearRun& want) {
+  EXPECT_TRUE(bits_equal(got.y, want.y)) << "forward";
+  EXPECT_TRUE(bits_equal(got.dx, want.dx)) << "dx";
+  EXPECT_TRUE(bits_equal(got.dw, want.dw)) << "dW";
+}
+
+/// Shapes (batch, in, out) chosen to hit every kernel tier and tail: extents
+/// below one vector, positions and channels that miss the vector widths,
+/// and 64s that fill them, from a zero and a non-zero incoming gradient.
+/// A pruned output row, scattered zero weights and zero dy exercise both
+/// zero skips.
 TEST(SimdGemm, ScalarVsSimdBitExact) {
   SimdGuard guard;
   const std::tuple<int, int, int> shapes[] = {
-      {1, 1, 1},       // degenerate
-      {5, 7, 9},       // everything smaller than one vector
-      {17, 31, 257},   // n = 257: wide tiers + 1-column scalar tail
-      {33, 300, 130},  // k % KC != 0, n % 8 != 0, packed-panel path
-      {64, 64, 64},    // exact multiple of the 64-wide tier
+      {1, 1, 1}, {5, 7, 9}, {17, 31, 257}, {33, 300, 130}, {64, 64, 64},
   };
-  for (const auto& [m, k, n] : shapes) {
+  for (const auto& [n, in, out] : shapes) {
     for (const bool accumulate : {false, true}) {
-      Rng rng(static_cast<uint64_t>(m * 7919 + k * 131 + n * 17) + 100);
-      Tensor a = Tensor::randn(Shape{m, k}, rng);
-      // Pruned rows and scattered zeros exercise the zero-skip in every
-      // tier, including tails.
-      for (int64_t j = 0; j < k; ++j) a.at(m / 2, j) = 0.0f;
-      for (int64_t i = 0; i < m; i += 3) a.at(i, k / 2) = 0.0f;
-      Tensor b = Tensor::randn(Shape{k, n}, rng);
-      Tensor c0 = Tensor::randn(Shape{m, n}, rng);
-      Tensor c1 = c0;
+      SCOPED_TRACE("n=" + std::to_string(n) + " in=" + std::to_string(in) + " out=" +
+                   std::to_string(out) + " accumulate=" + std::to_string(accumulate));
+      Rng rng(static_cast<uint64_t>(n * 7919 + in * 131 + out * 17) + 100);
+      Tensor w = Tensor::randn(Shape{out, in}, rng);
+      for (int64_t j = 0; j < in; ++j) w.at(out / 2, j) = 0.0f;
+      for (int64_t o = 0; o < out; o += 3) w.at(o, in / 2) = 0.0f;
+      const Tensor x = Tensor::randn(Shape{n, in}, rng);
+      Tensor dy = Tensor::randn(Shape{n, out}, rng);
+      for (int64_t i = 0; i < dy.numel(); i += 7) dy[i] = 0.0f;
+      const Tensor grad0 = accumulate ? Tensor::randn(Shape{out, in}, rng) : Tensor(Shape{out, in});
+      const LinearRun want = ref_linear(w, x, dy, grad0);
 
       simd::force(simd::Isa::kScalar);
-      gemm(a, b, c0, false, false, accumulate);
+      expect_linear_run(run_linear(w, x, dy, grad0), want);
       simd::reset();
-      gemm(a, b, c1, false, false, accumulate);
-
-      ASSERT_TRUE(bits_equal(c0, c1))
-          << "m=" << m << " k=" << k << " n=" << n << " accumulate=" << accumulate;
+      expect_linear_run(run_linear(w, x, dy, grad0), want);
     }
   }
 }
 
 /// The full cross: {scalar, dispatched} x {1 thread, 8 threads} must agree
-/// bitwise on a ragged shape that takes the threaded blocked path.
+/// bitwise on a ragged shape whose forward goes across lanes.
 TEST(SimdGemm, SimdAndThreadCountCommute) {
   SimdGuard guard;
   ThreadGuard tguard;
   Rng rng(42);
-  Tensor a = Tensor::randn(Shape{130, 257}, rng);
-  Tensor b = Tensor::randn(Shape{257, 131}, rng);
-
-  std::vector<Tensor> results;
+  const Tensor w = Tensor::randn(Shape{131, 257}, rng);
+  const Tensor x = Tensor::randn(Shape{130, 257}, rng);
+  const Tensor dy = Tensor::randn(Shape{130, 131}, rng);
+  const Tensor grad0 = Tensor::randn(Shape{131, 257}, rng);
+  const LinearRun want = ref_linear(w, x, dy, grad0);
   for (const bool use_simd : {false, true}) {
     for (const int threads : {1, 8}) {
+      SCOPED_TRACE(std::string(use_simd ? "simd" : "scalar") + " threads=" +
+                   std::to_string(threads));
       if (use_simd) {
         simd::reset();
       } else {
         simd::force(simd::Isa::kScalar);
       }
       parallel::set_num_threads(threads);
-      results.push_back(matmul(a, b));
+      expect_linear_run(run_linear(w, x, dy, grad0), want);
     }
-  }
-  for (size_t i = 1; i < results.size(); ++i) {
-    ASSERT_TRUE(bits_equal(results[0], results[i])) << "combo " << i;
   }
 }
 
@@ -251,7 +285,7 @@ ConvRun run_conv(int threads) {
   nn::Conv2d conv("c", /*in_c=*/3, /*out_c=*/10, /*k=*/3, /*stride=*/1, /*pad=*/1,
                   /*in_h=*/15, /*in_w=*/15, /*use_bias=*/true, rng);
   // Prune two filters end to end: their dW rows stay exactly zero and the
-  // GEMM zero-skip sees full zero rows.
+  // zero-weight skip sees full zero rows.
   for (int64_t j = 0; j < conv.weight().value.size(1); ++j) {
     conv.weight().value.at(2, j) = 0.0f;
     conv.weight().value.at(7, j) = 0.0f;

@@ -18,8 +18,8 @@
 #include "nn/models.hpp"
 #include "nn/network.hpp"
 #include "nn/trainer.hpp"
+#include "conv_ref.hpp"
 #include "obs/obs.hpp"
-#include "tensor/gemm.hpp"
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 
@@ -79,6 +79,8 @@ const int64_t kBatches[] = {0, 1, 4, 9, 33, 2100};
 /// Memcmps the Linear entry rhs_matmul_into(sw, x) against `ref` under
 /// RP_THREADS {1, 4} × {scalar, dispatched}.
 void expect_linear_bits(const sparse::SparseWeight& sw, const Tensor& x, const Tensor& ref) {
+  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(sw.rows, sw.cols)));
+  conv_zero_masks(sw.to_dense(), nz.data());
   for (const bool scalar : {true, false}) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(sparse::layout_name(sw.layout)) + " n=" +
@@ -91,23 +93,23 @@ void expect_linear_bits(const sparse::SparseWeight& sw, const Tensor& x, const T
       }
       parallel::set_num_threads(threads);
       Tensor y = Tensor::full(Shape{x.size(0), sw.rows}, -1.0f);  // every output is written
-      sparse::rhs_matmul_into(sw, x, y);
+      sparse::rhs_matmul_into(sw, nz.data(), x, y);
       EXPECT_TRUE(bits_equal(y, ref));
     }
   }
 }
 
-/// The Linear entry for weight w [out, in] against the dense reference
-/// gemm(x, w, y, false, true), for every batch size in kBatches under both
-/// forced CSR and auto (dense at high density, CSR below), across
+/// The Linear entry for weight w [out, in] against the chain y = x @ wᵀ
+/// skipping zero weights (ref_matmul), for every batch size in kBatches
+/// under every mode (auto is dense at high density, CSR below), across
 /// RP_THREADS × RP_SIMD.
 void expect_linear_matches_dense(const Tensor& w, uint64_t seed) {
   for (const int64_t n : kBatches) {
     Rng rng(seed + static_cast<uint64_t>(n));
     const Tensor x = Tensor::randn(Shape{n, w.size(1)}, rng);
     Tensor ref(Shape{n, w.size(0)});
-    gemm(x, w, ref, /*trans_a=*/false, /*trans_b=*/true);
-    for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+    testing::ref_matmul(x, w, ref, false, /*tb=*/true, testing::SkipZeros::kB);
+    for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
       SCOPED_TRACE(sparse::mode_name(mode));
       expect_linear_bits(sparse::compile(w, mode), x, ref);
     }
@@ -214,7 +216,7 @@ TEST(SparseRoundTrip, AllZeroMatrixCompilesToEmptySparseForms) {
 // Kernels: memcmp-identical to the dense reference
 
 // The Linear entry (rhs_matmul_into) is the only matrix-product entry of the
-// engine; its CSR layout runs the CSR conv kernel as a 1×1 conv.
+// engine; both layouts run their conv kernel as a 1×1 conv over the batch.
 
 TEST(SparseMatmul, MatchesDenseGemmBitExactAcrossLayoutsAndThreads) {
   SimdGuard simd_guard;
@@ -270,7 +272,7 @@ TEST(SparseMatmul, StoredZerosSkipNonFiniteInputs) {
     Rng rng(96 + static_cast<uint64_t>(n));
     const Tensor x = Tensor::randn(Shape{n, cols}, rng);
     Tensor ref(Shape{n, rows});
-    gemm(x, w0, ref, /*trans_a=*/false, /*trans_b=*/true);
+    testing::ref_matmul(x, w0, ref, false, /*tb=*/true, testing::SkipZeros::kB);
     Tensor bad = x;
     for (int64_t i = 0; i < n; ++i) bad.at(i, p) = kNonFinite[i % 3];
     expect_linear_bits(sw, bad, ref);
@@ -282,11 +284,15 @@ TEST(SparseMatmul, MismatchedOutputShapeThrows) {
   // is an error, not a write past y's buffer.
   const Tensor w = make_pruned(4, 6, 0.5, 97);
   const Tensor x(Shape{3, 6});
+  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(4, 6)));
+  conv_zero_masks(w, nz.data());
   for (const Shape& bad : {Shape{4, 3}, Shape{3, 5}, Shape{3, 4, 1}, Shape{12}}) {
     Tensor y(bad);
-    EXPECT_THROW(sparse::dense_rhs_matmul_into(w, x, y), std::invalid_argument) << bad.to_string();
-    EXPECT_THROW(sparse::rhs_matmul_into(sparse::compile(w, sparse::Mode::kOff), x, y),
-                 std::invalid_argument)
+    EXPECT_THROW(sparse::dense_rhs_matmul_into(w, nz.data(), x, y), std::invalid_argument)
+        << bad.to_string();
+    EXPECT_THROW(
+        sparse::rhs_matmul_into(sparse::compile(w, sparse::Mode::kOff), nz.data(), x, y),
+        std::invalid_argument)
         << bad.to_string();
   }
 }

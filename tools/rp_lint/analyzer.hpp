@@ -1,6 +1,6 @@
 // rp-lint analyzer — the shared model both rule phases run on.
 //
-// Phase 1 (rules_token.cpp, R1–R9) pattern-matches the token stream of one
+// Phase 1 (rules_token.cpp, R1–R8) pattern-matches the token stream of one
 // file at a time. Phase 2 (rules_semantic.cpp, R10–R12) runs on a whole-tree
 // model built here: the `#include` graph over src/, a scope/capture parse of
 // every lambda handed to parallel_for/run_shards, and a name-merged call
@@ -113,7 +113,7 @@ std::vector<std::pair<std::size_t, std::size_t>> split_call_args(const std::vect
 // ---------------------------------------------------------------------------
 // Rule phases
 
-/// Phase 1: per-file token rules R1–R9 (rules_token.cpp).
+/// Phase 1: per-file token rules R1–R8 (rules_token.cpp).
 void run_token_rules(const FileModel& fm, bool force_all, std::vector<Finding>* out);
 
 /// Phase 2, per-file part: R10 (capture race) and R12 (hot-path allocation,

@@ -1,6 +1,6 @@
 // rp-lint driver: determinism & discipline linter for this repo.
 //
-// Phase 1 runs the per-file token rules (R1–R9, rules_token.cpp) while the
+// Phase 1 runs the per-file token rules (R1–R8, rules_token.cpp) while the
 // tree of file models is built in parallel; phase 2 links the models into a
 // whole-tree view (include graph, hot-path reachability) and runs the
 // semantic rules (R10–R12, rules_semantic.cpp). `rp-lint --list-rules`
@@ -79,7 +79,6 @@ void list_rules() {
       << "R6  C-style casts to integer types in stats code (src/core, src/exp)\n"
       << "R7  unit-grain parallel_for/run_shards dispatch outside per-sample/per-shard loops\n"
       << "R8  raw ofstream/filesystem::rename artifact I/O in src/ bypassing fault::durable_write\n"
-      << "R9  direct gemm() calls in src/nn, src/core bypassing the sparse execution engine\n"
       << "R10 parallel_for/run_shards lambda writes a by-reference capture outside the disjoint-index idioms\n"
       << "R11 #include edge violates the committed src/ layer DAG, or the include graph has a cycle\n"
       << "R12 Tensor construction / new / growing-container call in a function reachable from a `// rp-lint: hot` entry point\n";

@@ -1,4 +1,4 @@
-// rp-lint phase 1: the per-file token rules R1–R9. Each rule pattern-matches
+// rp-lint phase 1: the per-file token rules R1–R8. Each rule pattern-matches
 // the comment- and string-aware token stream of a single file; rationale for
 // every rule lives in DESIGN.md §7.
 
@@ -24,7 +24,6 @@ class TokenRules {
     rule_r6();
     rule_r7();
     rule_r8();
-    rule_r9();
   }
 
  private:
@@ -319,31 +318,6 @@ class TokenRules {
             "(fsync-before-rename); use fault::durable_write or allow(R8) a non-artifact "
             "move");
       }
-    }
-  }
-
-  /// R9: sparse-dispatch bypass. A direct gemm(...) call in network or
-  /// experiment code skips the compile-to-sparse engine (tensor/sparse.hpp),
-  /// so pruned layers silently run dense and the prune-ratio speedup
-  /// evaporates. Forward paths dispatch through sparse::rhs_matmul_into /
-  /// sparse::conv_forward (or the layer's sparse_ flag); training backward paths
-  /// and deliberate dense fallbacks carry an allow(R9) stating why.
-  void rule_r9() {
-    if (!in_dirs({"src/nn/", "src/core/"})) return;
-    const auto& t = toks();
-    for (std::size_t i = 0; i < t.size(); ++i) {
-      if (t[i].kind != Tok::Ident || t[i].text != "gemm") continue;
-      if (i + 1 >= t.size() || t[i + 1].text != "(") continue;
-      // Skip qualified calls (sparse::..., obj.gemm) and declarations
-      // (`void gemm(...)` — preceded by a type name).
-      if (i > 0 && (t[i - 1].text == "::" || t[i - 1].text == "." || t[i - 1].text == "->")) {
-        continue;
-      }
-      if (i > 0 && t[i - 1].kind == Tok::Ident && !is_keyword(t[i - 1].text)) continue;
-      add(t[i].line, "R9",
-          "direct gemm() call bypasses the sparse execution engine; dispatch through "
-          "rp::sparse (tensor/sparse.hpp) or allow(R9) a training/backward or deliberate "
-          "dense path");
     }
   }
 
