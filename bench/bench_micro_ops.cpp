@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <new>
@@ -118,6 +119,35 @@ void BM_ConvForwardSimd(benchmark::State& state) {
   report_flops(state, flops);
 }
 BENCHMARK(BM_ConvForwardSimd)->Arg(0)->Arg(1)->UseRealTime();
+
+/// The pool's wake-up cost, behind parallel_for's kMinChunkFlops (DESIGN.md
+/// §6): one region of two chunks, each a dependent chain of `range(0)`·1024
+/// fmas, at two lanes (range(1) = 1) against the same region at one lane,
+/// which runs inline (0). The inline row times the two chunks; a parked
+/// worker that wakes within a chunk takes the second one, so the region
+/// takes one chunk plus the wake-up, and otherwise both chunks run on the
+/// caller.
+void BM_PoolWake(benchmark::State& state) {
+  const int64_t iters = state.range(0) * 1024;
+  parallel::set_num_threads(state.range(1) != 0 ? 2 : 1);
+  double out[2] = {};
+  const auto chunk = [&](int64_t i0, int64_t i1) {
+    for (int64_t i = i0; i < i1; ++i) {
+      double x = 1.0 + static_cast<double>(i);
+      for (int64_t k = 0; k < iters; ++k) x = std::fma(x, 0.999999, 1e-7);
+      out[i] = x;
+    }
+  };
+  for (auto _ : state) {
+    parallel::parallel_for(0, 2, parallel::kMinChunkFlops, chunk);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetLabel(state.range(1) != 0 ? "2 chunks @ 2 lanes" : "2 chunks inline");
+  parallel::set_num_threads(0);
+}
+BENCHMARK(BM_PoolWake)
+    ->ArgsProduct({{4, 8, 16, 32, 64}, {0, 1}})
+    ->UseRealTime();
 
 /// Conv backward at one thread, forced-scalar vs dispatched ISA. FLOPs count
 /// the dW and dx GEMMs (2x the forward GEMM work).
@@ -406,10 +436,11 @@ BENCHMARK(BM_TrainingStep);
 /// Per-step operator-new count of a warmed-up training step — the
 /// memory-discipline acceptance number: the steady state makes zero trips
 /// through operator new per step (scratch tensors recycle warm lane-pool
-/// blocks). Iterations are pinned so the count is exact, threads at 1 so the
-/// census is single-lane.
+/// blocks). Iterations are pinned so the count is exact. range(0) is the lane
+/// count: at 1 the census is single-lane, at 2 it also counts what the
+/// regions that go across lanes allocate.
 void BM_TrainStepAllocs(benchmark::State& state) {
-  parallel::set_num_threads(1);
+  parallel::set_num_threads(static_cast<int>(state.range(0)));
   data::SynthConfig cfg;
   cfg.n = 64;
   cfg.seed = 9;
@@ -434,7 +465,7 @@ void BM_TrainStepAllocs(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 64);
   parallel::set_num_threads(0);
 }
-BENCHMARK(BM_TrainStepAllocs)->Iterations(20);
+BENCHMARK(BM_TrainStepAllocs)->Arg(1)->Arg(2)->Iterations(20);
 
 /// Same census for a full evaluate() pass (batched forward + argmax + loss).
 void BM_EvalAllocs(benchmark::State& state) {

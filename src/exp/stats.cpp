@@ -52,7 +52,9 @@ Interval bootstrap_slope_ci(std::span<const double> x, std::span<const double> y
   const Rng root(seed);
   const auto n = static_cast<int64_t>(x.size());
   std::vector<double> slopes(static_cast<size_t>(iters));
-  parallel::parallel_for(0, iters, 16, [&](int64_t it0, int64_t it1) {
+  // A resample costs about 16 operations per point: the index draw, two
+  // gathers and the slope's two multiply-adds.
+  parallel::parallel_for(0, iters, 16 * n, [&](int64_t it0, int64_t it1) {
     std::vector<double> bx(static_cast<size_t>(n)), by(static_cast<size_t>(n));
     for (int64_t it = it0; it < it1; ++it) {
       Rng rng = root.fork(static_cast<uint64_t>(it));

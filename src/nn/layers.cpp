@@ -34,14 +34,6 @@ int64_t checked_out_c(const std::string& name, int64_t out_c) {
   return out_c;
 }
 
-/// Grain of the per-sample conv loops: about four chunks per lane, so each
-/// chunk's scratch (zeroed on acquisition) is amortized over several samples
-/// while idle lanes can still steal work. Per-sample partials make results
-/// independent of the chunking.
-int64_t sample_grain(int64_t n) {
-  return std::max<int64_t>(1, n / (4 * static_cast<int64_t>(parallel::num_threads())));
-}
-
 /// Calls f(std::integral_constant<int, G>{}, c0) over consecutive channel
 /// groups [c0, c0 + G): groups of four, then one tail group of 1–3. BatchNorm
 /// runs each group's per-channel double sums as G independent chains, so the
@@ -116,8 +108,10 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   // chunk owns one phase-plane scratch from its lane's pool — nested
   // parallel loops run inline, so a lane never shares it with another
   // forward in flight. The scratch is zeroed once per chunk; each sample
-  // only rewrites the cells that hold its pixels.
-  parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
+  // only rewrites the cells that hold its pixels. A sample costs its
+  // product's flops.
+  const int64_t sample_flops = 2 * out_c_ * plan_.g.patch() * oplane;
+  parallel::parallel_for(0, n, sample_flops, [&](int64_t i0, int64_t i1) {
     Tensor planes = Tensor::scratch(Shape{plan_.plane_size()});
     for (int64_t i = i0; i < i1; ++i) {
       const float* p = plan_.fill(xd + i * isz, planes.data().data());
@@ -132,10 +126,10 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
 
   if (profiling_) {
     // Max-reduction per channel; each channel is owned by one lane, so the
-    // stat update is race-free and (max being exact) order-independent.
+    // stat update is race-free and (max being exact) order-independent. A
+    // channel costs one compare per element of its n planes.
     const int64_t plane = plan_.g.in_h * plan_.g.in_w;
-    // rp-lint: allow(R7) per-channel loop: each iteration reduces n planes
-    parallel::parallel_for(0, plan_.g.in_c, 1, [&](int64_t c0, int64_t c1) {
+    parallel::parallel_for(0, plan_.g.in_c, n * plane, [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         float m = in_stat_[static_cast<size_t>(c)];
         for (int64_t i = 0; i < n; ++i) {
@@ -145,8 +139,7 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
         in_stat_[static_cast<size_t>(c)] = m;
       }
     });
-    // rp-lint: allow(R7) per-channel loop: each iteration reduces n planes
-    parallel::parallel_for(0, out_c_, 1, [&](int64_t c0, int64_t c1) {
+    parallel::parallel_for(0, out_c_, n * oplane, [&](int64_t c0, int64_t c1) {
       for (int64_t c = c0; c < c1; ++c) {
         float m = out_stat_[static_cast<size_t>(c)];
         for (int64_t i = 0; i < n; ++i) {
@@ -190,7 +183,8 @@ Tensor Conv2d::backward(const Tensor& dy) {
   float* dwp = dw_partial.data().data();
   float* dbp = db_partial.data().data();
 
-  parallel::parallel_for(0, n, sample_grain(n), [&](int64_t i0, int64_t i1) {
+  // A sample costs its two products, dW and dx, each the forward's flops.
+  parallel::parallel_for(0, n, 4 * wsize * oplane, [&](int64_t i0, int64_t i1) {
     Tensor planes = Tensor::scratch(Shape{plan_.plane_size()});
     Tensor dyt = Tensor::scratch(Shape{oplane, out_c_});
     for (int64_t i = i0; i < i1; ++i) {
@@ -321,13 +315,18 @@ Tensor Linear::backward(const Tensor& dy) {
   const float* dyd = dy.data().data();
   Tensor dx = Tensor::scratch(Shape{n, in_});
   if (n == 0) return dx;
-  // dWᵀ = xᵀ @ dy over the batch plane, with dy itself as the
-  // position-major output gradient, added into the gradient through one
-  // transpose as Conv2d folds its sample partials.
-  const BatchPlane plane(cached_input_);
+  // dWᵀ = xᵀ @ dy as the weight gradient of a 1×1 conv whose n output rows
+  // of one position are the samples: x is read in place (row stride in_,
+  // patch row r at offset r) and dy itself is the position-major output
+  // gradient. dWᵀ is added into the gradient through one transpose, as
+  // Conv2d folds its sample partials.
+  std::vector<int32_t, mem::ScratchAllocator<int32_t>> off(static_cast<size_t>(in_), 0,
+                                                           mem::ScratchAllocator<int32_t>(true));
+  for (int64_t r = 0; r < in_; ++r) off[static_cast<size_t>(r)] = static_cast<int32_t>(r);
   Tensor dwt = Tensor::scratch(Shape{in_, out_});
   Tensor dw = Tensor::scratch(Shape{out_, in_});
-  conv_grad_weight(plane.dw_args(dyd, out_, dwt.data().data()));
+  conv_grad_weight(simd::ConvDwArgs{cached_input_.data().data(), off.data(), in_, n, 1, in_, dyd,
+                                    out_, dwt.data().data()});
   transpose(dwt.data().data(), in_, out_, dw.data().data());
   simd::add(weight_.grad.data().data(), dw.data().data(), out_ * in_);
   if (use_bias_) {

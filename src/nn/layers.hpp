@@ -63,7 +63,7 @@ class Conv2d final : public Module {
 
 /// Fully connected layer over [N, in] batches: y = x Wᵀ + b. The forward and
 /// both gradients run on the conv kernels as 1×1 convs whose pixels are the
-/// batch (tensor/conv.hpp BatchPlane).
+/// batch (the forward through tensor/conv.hpp BatchPlane).
 class Linear final : public Module {
  public:
   Linear(std::string name, int64_t in, int64_t out, bool use_bias, Rng& rng);

@@ -24,15 +24,6 @@ void valid_span(int64_t off, int64_t extent, int64_t stride, int64_t n, int64_t*
   *hi = std::max(*hi, *lo);
 }
 
-// Output channels per task when a conv forward is split across lanes (a
-// batch of one or a Linear batch; inside a per-sample loop the split runs
-// inline): about four tasks per lane, in whole blocks of the kernels'
-// four-channel register tiles.
-int64_t channel_grain(int64_t out_c) {
-  const int64_t per = out_c / (4 * static_cast<int64_t>(parallel::num_threads()));
-  return std::max<int64_t>(4, (per + 3) / 4 * 4);
-}
-
 void check_conv_geometry(const ConvGeom& g, const std::string& who) {
   const char* bad = nullptr;
   if (g.in_c < 1) {
@@ -188,10 +179,6 @@ simd::ConvArgs BatchPlane::args(float* yt) const {
   return simd::ConvArgs{xt.data().data(), off.data(), cols, 1, n, n, nullptr, yt};
 }
 
-simd::ConvDwArgs BatchPlane::dw_args(const float* dy, int64_t out_c, float* dwt) const {
-  return simd::ConvDwArgs{xt.data().data(), off.data(), cols, 1, n, n, dy, out_c, dwt};
-}
-
 simd::ConvDxArgs batch_dx_args(const float* w, int64_t out_c, int64_t in_c, int64_t n,
                                const float* dyt, float* dxt) {
   static constexpr simd::ConvTap kTap{0, 0, 0};
@@ -218,12 +205,10 @@ void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a) {
   const int64_t out_c = w.size(0);
   const float* wd = w.data().data();
   const auto kernel = simd::kernels().conv_dense;
-  auto channels = [&](int64_t o0, int64_t o1) { kernel(a, wd, nz, o0, o1); };
-  if (2 * out_c * a.patch * a.oh * a.ow >= kParallelMinMacs) {
-    parallel::parallel_for(0, out_c, channel_grain(out_c), channels);
-  } else {
-    channels(0, out_c);
-  }
+  // The index is a block of four output channels, the dense kernel's
+  // register tile, so a chunk never splits a tile.
+  auto blocks = [&](int64_t b0, int64_t b1) { kernel(a, wd, nz, 4 * b0, std::min(out_c, 4 * b1)); };
+  parallel::parallel_for(0, (out_c + 3) / 4, 2 * 4 * a.patch * a.oh * a.ow, blocks);
 }
 
 void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx) {

@@ -9,12 +9,6 @@
 
 namespace rp {
 
-/// Below this many multiply-adds a kernel call runs on the calling lane:
-/// the parallel dispatch would cost more than it saves. Small calls (the
-/// per-sample conv of a batch, a classifier head) are instead parallelized
-/// by the loops above them.
-inline constexpr int64_t kParallelMinMacs = int64_t{1} << 18;
-
 /// Dense row-major transpose: dst[cols, rows] = src[rows, cols]ᵀ. Walks
 /// square tiles so both the reads and the writes stay within a few cache
 /// lines; values are copied, never combined, so any tiling is exact.
@@ -91,10 +85,10 @@ struct ConvPlan {
 
 /// A batch x [n, cols] as the input of a 1×1 conv whose n pixels are the
 /// samples: the plane xᵀ [cols, n], patch row r at offset r·n, one output row
-/// of n positions. Linear runs its forward and weight gradient on the conv
-/// kernels through it. xᵀ and the offsets are scratch, built once per call.
-/// Throws std::invalid_argument when cols·n overflows the kernels' 32-bit
-/// plane offsets.
+/// of n positions. Linear runs its forward on the conv kernels through it.
+/// xᵀ and the offsets are scratch, built once per call. Throws
+/// std::invalid_argument when cols·n overflows the kernels' 32-bit plane
+/// offsets.
 struct BatchPlane {
   explicit BatchPlane(const Tensor& x);
 
@@ -104,9 +98,6 @@ struct BatchPlane {
 
   /// Forward arguments writing yᵀ [out_c, n], with no bias.
   simd::ConvArgs args(float* yt) const;
-  /// Weight-gradient arguments: dy [n, out_c] is the position-major output
-  /// gradient as it is, and dwt [cols, out_c] receives dWᵀ.
-  simd::ConvDwArgs dw_args(const float* dy, int64_t out_c, float* dwt) const;
 };
 
 /// Input-gradient arguments of a Linear as a 1×1, stride-1, one-phase conv
@@ -128,9 +119,9 @@ void conv_zero_masks(const Tensor& w, uint8_t* nz);
 /// y[o, p] = Σ_r w[o, r] · patch(r, p) (+ bias[o] when a.bias is non-null)
 /// for the arguments of ConvPlan::args or BatchPlane::args. Each output is
 /// the fma chain over r ascending from +0, zero weights skipped, then one
-/// add of the bias. Output channels go across lanes above kParallelMinMacs;
-/// each is owned by one lane, so results are bit-identical for any
-/// RP_THREADS. Counts one gemm.calls.
+/// add of the bias. Blocks of four output channels go across lanes by
+/// parallel_for's cost rule; each is owned by one lane, so results are
+/// bit-identical for any RP_THREADS. Counts one gemm.calls.
 void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a);
 
 /// The input-gradient kernel's weight operand wx [k·k, out_c, in_c] (as
@@ -140,7 +131,8 @@ void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a);
 void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx);
 
 /// Weight gradient, transposed: dwt[r, o] = Σ_pos dyt[pos, o] · patch(r, pos)
-/// for the arguments of ConvPlan::dw_args or BatchPlane::dw_args. Each
+/// for the arguments of ConvPlan::dw_args, or of a Linear's batch read in
+/// place as n output rows of one position (Linear::backward). Each
 /// element is the fma chain over positions ascending from +0, terms whose dy
 /// is 0 skipped. Runs on the calling lane. Counts one gemm.calls.
 void conv_grad_weight(const simd::ConvDwArgs& a);

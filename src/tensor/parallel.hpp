@@ -58,20 +58,35 @@ bool in_parallel_region();
 /// network clones — with this before calling run_shards.
 int shard_count(int64_t items);
 
-/// Splits [begin, end) into chunks of at most `grain` consecutive indices
-/// and runs `fn(chunk_begin, chunk_end)` across the pool; the caller's lane
-/// participates. Chunk boundaries depend only on (begin, end, grain), and
+/// Below this much estimated work (flops, or flop-equivalent operations) a
+/// chunk is not worth a second lane: a worker parked on the pool's condition
+/// variable takes about as long to wake as a chunk of this size takes to run
+/// on one lane. DESIGN.md §6 derives it from the committed BM_PoolWake rows
+/// (the wake-up time) and BM_ConvForwardSimd (the conv kernels' one-lane
+/// rate).
+inline constexpr int64_t kMinChunkFlops = int64_t{1} << 20;
+
+/// Runs `fn(chunk_begin, chunk_end)` over consecutive chunks of [begin, end),
+/// where `cost` is the estimated work of one index in flops (>= 0). The one
+/// cost rule of the pool: with total = cost·(end − begin) and lanes =
+/// num_threads(), it makes chunks = min(end − begin, 4·lanes,
+/// total / kMinChunkFlops) chunks of ceil((end − begin) / chunks) indices and
+/// runs them across the pool, the caller's lane included; when chunks < 2,
+/// the call is nested, or there is one lane, it runs `fn(begin, end)` inline.
+/// Chunk boundaries are a function of (begin, end, cost, lanes) alone, and
 /// each index is executed by exactly one lane, so any decomposition that
 /// writes disjoint data per index is bit-identical to a serial run. Blocks
 /// until every chunk finished; rethrows the first exception.
-void parallel_for(int64_t begin, int64_t end, int64_t grain,
+void parallel_for(int64_t begin, int64_t end, int64_t cost,
                   FunctionRef<void(int64_t, int64_t)> fn);
 
 /// Partitions `items` into exactly `shards` contiguous ranges via the fixed
 /// formula [s*items/shards, (s+1)*items/shards) and runs `fn(shard, begin,
 /// end)` concurrently, one task per shard. The partition depends only on
 /// (shards, items), never on scheduling, so per-shard accumulators reduced
-/// in shard order give thread-count-independent results.
+/// in shard order give thread-count-independent results. The shard count is
+/// the caller's (it sizes per-shard state with shard_count), so the cost rule
+/// does not apply; runs inline when nested or single-threaded.
 void run_shards(int shards, int64_t items,
                 FunctionRef<void(int, int64_t, int64_t)> fn);
 

@@ -39,13 +39,6 @@ Mode resolve_from_env() {
 // rp-lint: allow(R3) mode pin for tests; all layouts are bit-identical
 std::atomic<int> g_forced{-1};
 
-// Output rows per task above kParallelMinMacs: about four tasks per lane.
-// Each output row is owned by exactly one lane, so any thread count is
-// bit-identical.
-int64_t row_grain(int64_t rows) {
-  return std::max<int64_t>(1, rows / (4 * static_cast<int64_t>(parallel::num_threads())));
-}
-
 void require_2d(const Tensor& w, const char* who) {
   if (w.ndim() != 2) {
     throw std::invalid_argument(std::string(who) + " expects a 2-D weight, got " +
@@ -54,18 +47,17 @@ void require_2d(const Tensor& w, const char* who) {
 }
 
 // Runs the CSR conv kernel over every output channel of a CSR weight,
-// parallel over disjoint channels above kParallelMinMacs.
+// parallel over disjoint channels by parallel_for's cost rule, at a row's
+// mean stored entries. Each output row is owned by exactly one lane, so any
+// thread count is bit-identical.
 void csr_forward(const SparseWeight& w, const simd::ConvArgs& a) {
   obs::count(obs::Counter::kGemmSparseCalls);
   const auto kernel = simd::kernels().conv_csr;
   auto channels = [&](int64_t o0, int64_t o1) {
     kernel(a, w.row_ptr.data(), w.col_idx.data(), w.values.data(), o0, o1);
   };
-  if (2 * w.nnz * a.oh * a.ow >= kParallelMinMacs) {
-    parallel::parallel_for(0, w.rows, row_grain(w.rows), channels);
-  } else {
-    channels(0, w.rows);
-  }
+  const int64_t row_cost = w.rows > 0 ? 2 * w.nnz * a.oh * a.ow / w.rows : 0;
+  parallel::parallel_for(0, w.rows, row_cost, channels);
 }
 
 void check_linear(int64_t rows, int64_t cols, const Tensor& x, const Tensor& y,

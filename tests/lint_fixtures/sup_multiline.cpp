@@ -11,9 +11,9 @@ void parallel_for(int64_t, int64_t, int64_t, F&&);
 
 int multiline_call_chain() {
   int64_t total = 0;
-  // The R7 hit is on the parallel_for line, the R10 hit is on the lambda
-  // body line three lines further down — one own-line allow covers both.
-  // rp-lint: allow(R7,R10) fixture: whole-statement coverage is the point of this test
+  // The R10 hit is on the lambda body line, three lines below the
+  // parallel_for line — the own-line allow covers the whole statement.
+  // rp-lint: allow(R10) fixture: whole-statement coverage is the point of this test
   parallel_for(0,
                1000000,
                1,

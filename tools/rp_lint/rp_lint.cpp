@@ -77,7 +77,6 @@ void list_rules() {
       << "R4  std::unordered_{map,set} in result-producing code (src/core, src/exp)\n"
       << "R5  reinterpret_cast outside src/tensor/serialize.cpp and src/data/image_io.cpp\n"
       << "R6  C-style casts to integer types in stats code (src/core, src/exp)\n"
-      << "R7  unit-grain parallel_for/run_shards dispatch outside per-sample/per-shard loops\n"
       << "R8  raw ofstream/filesystem::rename artifact I/O in src/ bypassing fault::durable_write\n"
       << "R10 parallel_for/run_shards lambda writes a by-reference capture outside the disjoint-index idioms\n"
       << "R11 #include edge violates the committed src/ layer DAG, or the include graph has a cycle\n"

@@ -1,6 +1,6 @@
-// rp-lint phase 1: the per-file token rules R1–R8. Each rule pattern-matches
-// the comment- and string-aware token stream of a single file; rationale for
-// every rule lives in DESIGN.md §7.
+// rp-lint phase 1: the per-file token rules R1–R6 and R8. Each rule
+// pattern-matches the comment- and string-aware token stream of a single
+// file; rationale for every rule lives in DESIGN.md §7.
 
 #include "analyzer.hpp"
 
@@ -22,7 +22,6 @@ class TokenRules {
     rule_r4();
     rule_r5();
     rule_r6();
-    rule_r7();
     rule_r8();
   }
 
@@ -261,35 +260,6 @@ class TokenRules {
       if (!expr_next || (next.kind == Tok::Ident && next.text == "const")) continue;
       add(t[i].line, "R6",
           "C-style cast to integer type in stats code; use static_cast (or std::lround) so float->int narrowing is explicit");
-    }
-  }
-
-  /// R7: unit-grain pool dispatch. A `parallel_for` whose grain is the
-  /// literal 1 (or a `run_shards` asked for exactly 1 shard) pays one chunk
-  /// claim per element and drowns in dispatch overhead on elementwise
-  /// bodies. Legitimate unit-grain sites — per-sample loops where each
-  /// iteration is itself a GEMM-sized unit of work, and the pool's own
-  /// per-shard dispatch — carry an allow(R7) with that rationale.
-  void rule_r7() {
-    const auto& t = toks();
-    for (std::size_t i = 0; i + 1 < t.size(); ++i) {
-      if (t[i].kind != Tok::Ident) continue;
-      const bool is_pfor = t[i].text == "parallel_for";
-      const bool is_shards = t[i].text == "run_shards";
-      if ((!is_pfor && !is_shards) || t[i + 1].text != "(") continue;
-      // Declarations never trip this: their "arguments" carry type tokens,
-      // so no argument is a lone `1` literal.
-      const auto args = split_call_args(t, i);
-      const std::size_t grain_idx = is_pfor ? 2 : 0;  // parallel_for grain / run_shards count
-      if (args.size() <= grain_idx) continue;
-      const auto [lo, hi] = args[grain_idx];
-      if (lo != hi) continue;  // expressions like int64_t{1} << 16 are fine
-      if (t[lo].kind == Tok::Number && t[lo].text == "1") {
-        add(t[lo].line, "R7",
-            std::string(is_pfor ? "parallel_for grain" : "run_shards shard count") +
-                " of literal 1 drowns in per-chunk dispatch overhead; size the grain to the "
-                "body or allow(R7) a genuine per-sample/per-shard loop");
-      }
     }
   }
 
