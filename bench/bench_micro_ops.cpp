@@ -238,10 +238,8 @@ void BM_SparseGemm(benchmark::State& state) {
   Tensor x = Tensor::randn(Shape{n, n}, rng);
   Tensor y(Shape{n, n});
   const auto w = sparse::compile(a, layout == 0 ? sparse::Mode::kOff : sparse::Mode::kCsr);
-  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(n, n)));
-  conv_zero_masks(a, nz.data());
   for (auto _ : state) {
-    sparse::rhs_matmul_into(w, nz.data(), x, y);
+    sparse::rhs_matmul_into(a, w, x, y);
     benchmark::DoNotOptimize(y.data().data());
   }
   parallel::set_num_threads(0);

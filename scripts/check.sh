@@ -4,7 +4,7 @@
 # dispatched SIMD kernels (RP_SPARSE defaults to auto, so the sparse engine is
 # live on every evaluate/predict), with RP_SIMD=off forcing the scalar
 # fallback, and with RP_SPARSE=off forcing the dense execution path (plus
-# the conv/sparse/serving slice with RP_SPARSE=csr forcing CSR, dispatched
+# the conv/sparse/serving/Linear/trainer slice with RP_SPARSE=csr forcing CSR, dispatched
 # and under RP_SIMD=off) — then a
 # fast smoke pass with RP_TRACE active (the trace file must come out as valid
 # JSON), then a fault-injection pass (RP_FAULTS periodic transient write/read
@@ -52,10 +52,12 @@ RP_SPARSE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 # RP_SPARSE=csr compiles every layer to CSR, so the CSR conv kernel runs on
 # every conv and Linear layer (a Linear runs on it as a 1×1 conv), not only
 # on the ones auto finds sparse enough: once dispatched, once on the scalar
-# kernel under RP_SIMD=off.
-RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Conv|Sparse|Serve'
+# kernel under RP_SIMD=off. Linear and Trainer are in the slice because
+# evaluate, predict and profile_activations compile every layer through the
+# trainer's SparseScope.
+RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" -R 'Conv|Sparse|Serve|Linear|Trainer'
 RP_SIMD=off RP_SPARSE=csr ctest --test-dir build --output-on-failure -j "$JOBS" \
-  -R 'Conv|Sparse|Serve'
+  -R 'Conv|Sparse|Serve|Linear|Trainer'
 
 echo "== [3/8] Observability smoke: tracing on, results unchanged, trace is JSON =="
 # One serial pass over a results-bearing slice of the suite with RP_TRACE

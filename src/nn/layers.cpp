@@ -83,10 +83,10 @@ Conv2d::Conv2d(std::string name, int64_t in_c, int64_t out_c, int64_t k, int64_t
       bias_(name_ + ".bias", Tensor::zeros(Shape{out_c}), /*is_prunable=*/false),
       in_stat_(static_cast<size_t>(in_c), 0.0f),
       out_stat_(static_cast<size_t>(out_c), 0.0f),
-      zero_masks_(static_cast<size_t>(conv_mask_size(out_c, plan_.g.patch()))) {}
+      compiled_(sparse::compile(weight_.value, sparse::Mode::kOff)) {}
 
 // rp-lint: hot — marks the name-merged `forward` node: every layer forward
-Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
+Tensor Conv2d::forward(const Tensor& x, bool train) {
   check_4d(x, "Conv2d");
   const int64_t n = x.size(0);
   const int64_t oh = plan_.oh, ow = plan_.ow;
@@ -101,7 +101,8 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
   const float* bias = use_bias_ ? bias_.value.data().data() : nullptr;
   Tensor y = Tensor::scratch(Shape{n, out_c_, oh, ow});
   float* yd = y.data().data();
-  if (!sparse_) conv_zero_masks(weight_.value, zero_masks_.data());
+  if (train) frozen_ = false;
+  if (!frozen_) sparse::rebuild(weight_.value, compiled_);
 
   // Samples are independent (each writes its own output planes), so the
   // loop is parallel over samples; the kernels write straight into y. Each
@@ -116,11 +117,7 @@ Tensor Conv2d::forward(const Tensor& x, bool /*train*/) {
     for (int64_t i = i0; i < i1; ++i) {
       const float* p = plan_.fill(xd + i * isz, planes.data().data());
       float* yi = yd + i * out_c_ * oplane;
-      if (sparse_) {
-        sparse::conv_forward(sparse_w_, zero_masks_.data(), plan_.args(p, bias, yi));
-      } else {
-        conv_forward(weight_.value, zero_masks_.data(), plan_.args(p, bias, yi));
-      }
+      sparse::conv_forward(weight_.value, compiled_, plan_.args(p, bias, yi));
     }
   });
 
@@ -251,11 +248,8 @@ void Conv2d::set_profiling(bool on) {
 }
 
 void Conv2d::set_sparse(bool on) {
-  sparse_ = on && sparse::mode() != sparse::Mode::kOff;
-  sparse_w_ = sparse_ ? sparse::compile(weight_.value) : sparse::SparseWeight{};
-  if (sparse_ && sparse_w_.layout == sparse::Layout::kDense) {
-    conv_zero_masks(sparse_w_.dense, zero_masks_.data());
-  }
+  frozen_ = on;
+  if (on) compiled_ = sparse::compile(weight_.value);
 }
 
 int64_t Conv2d::flops() const {
@@ -274,9 +268,9 @@ Linear::Linear(std::string name, int64_t in, int64_t out, bool use_bias, Rng& rn
       bias_(name_ + ".bias", Tensor::zeros(Shape{out}), /*is_prunable=*/false),
       in_stat_(static_cast<size_t>(in), 0.0f),
       out_stat_(static_cast<size_t>(out), 0.0f),
-      zero_masks_(static_cast<size_t>(conv_mask_size(out, in))) {}
+      compiled_(sparse::compile(weight_.value, sparse::Mode::kOff)) {}
 
-Tensor Linear::forward(const Tensor& x, bool /*train*/) {
+Tensor Linear::forward(const Tensor& x, bool train) {
   if (x.ndim() != 2 || x.size(1) != in_) {
     throw std::invalid_argument(name_ + ": expected [N, " + std::to_string(in_) + "], got " +
                                 x.shape().to_string());
@@ -284,12 +278,9 @@ Tensor Linear::forward(const Tensor& x, bool /*train*/) {
   cached_input_ = x;
   const int64_t n = x.size(0);
   Tensor y = Tensor::scratch(Shape{n, out_});
-  if (sparse_) {
-    sparse::rhs_matmul_into(sparse_w_, zero_masks_.data(), x, y);
-  } else {
-    conv_zero_masks(weight_.value, zero_masks_.data());
-    sparse::dense_rhs_matmul_into(weight_.value, zero_masks_.data(), x, y);
-  }
+  if (train) frozen_ = false;
+  if (!frozen_) sparse::rebuild(weight_.value, compiled_);
+  sparse::rhs_matmul_into(weight_.value, compiled_, x, y);
   if (use_bias_) {
     float* yd = y.data().data();
     const float* bd = bias_.value.data().data();
@@ -371,11 +362,8 @@ void Linear::set_profiling(bool on) {
 }
 
 void Linear::set_sparse(bool on) {
-  sparse_ = on && sparse::mode() != sparse::Mode::kOff;
-  sparse_w_ = sparse_ ? sparse::compile(weight_.value) : sparse::SparseWeight{};
-  if (sparse_ && sparse_w_.layout == sparse::Layout::kDense) {
-    conv_zero_masks(sparse_w_.dense, zero_masks_.data());
-  }
+  frozen_ = on;
+  if (on) compiled_ = sparse::compile(weight_.value);
 }
 
 int64_t Linear::flops() const { return weight_.active(); }

@@ -54,11 +54,15 @@ class Conv2d final : public Module {
   bool profiling_ = false;
   std::vector<float> in_stat_, out_stat_;
 
-  bool sparse_ = false;
-  sparse::SparseWeight sparse_w_;  ///< compiled weight while sparse_ is on
-  /// conv_zero_masks of the weight the dense conv kernel runs, sized once at
-  /// construction: rebuilt per training forward, at set_sparse otherwise.
-  std::vector<uint8_t> zero_masks_;
+  /// The weight's one compiled form (tensor/sparse.hpp), which every
+  /// forward runs. Unless frozen, it is the dense layout, sized at
+  /// construction, whose masks each forward rebuilds in place from the live
+  /// weight.
+  sparse::SparseWeight compiled_;
+  /// Set by set_sparse(true): eval forwards run compiled_ as compiled, under
+  /// every RP_SPARSE mode. Cleared by set_sparse(false) and by a training
+  /// forward, whose step changes the weight.
+  bool frozen_ = false;
 };
 
 /// Fully connected layer over [N, in] batches: y = x Wᵀ + b. The forward and
@@ -90,10 +94,8 @@ class Linear final : public Module {
   bool profiling_ = false;
   std::vector<float> in_stat_, out_stat_;
 
-  bool sparse_ = false;
-  sparse::SparseWeight sparse_w_;  ///< compiled weight while sparse_ is on
-  /// conv_zero_masks of the weight the dense forward runs, as in Conv2d.
-  std::vector<uint8_t> zero_masks_;
+  sparse::SparseWeight compiled_;  ///< as in Conv2d
+  bool frozen_ = false;            ///< as in Conv2d
 };
 
 /// Batch normalization over the channel axis of [N, C, H, W].

@@ -96,12 +96,15 @@ class Module {
   /// statistics during forward passes (for SiPP/PFP sensitivities).
   virtual void set_profiling(bool /*on*/) {}
 
-  /// When sparse execution is on, layers with prunable weights compile their
-  /// current weight through the sparse engine (tensor/sparse.hpp) and run
-  /// their forward through the compiled form — bit-identical to the dense
-  /// path. Off (the default) discards the compiled weights; training and
-  /// pruning always mutate the dense tensors, so callers must re-enable
-  /// after any weight change. Composites forward to children.
+  /// Layers with prunable weights run every forward through one compiled
+  /// form of their weight (tensor/sparse.hpp), bit-identical whatever its
+  /// layout. On compiles the current weight under the RP_SPARSE mode (under
+  /// off: the dense layout, its zero masks frozen too) and eval forwards run
+  /// that frozen form until the next call. Off (the default) unfreezes it:
+  /// each forward rebuilds the dense masks from the live weight in place. A
+  /// training forward unfreezes as well. Training and pruning mutate the
+  /// weights, so callers must compile again after any weight change.
+  /// Composites forward to children.
   virtual void set_sparse(bool /*on*/) {}
 
   /// Mask-aware multiply-accumulate count for one sample's forward pass.

@@ -41,8 +41,9 @@ class Network {
   const std::vector<PrunableSpec>& prunable() { return prunable_; }
 
   void set_profiling(bool on) { root_->set_profiling(on); }
-  /// Compiles (on) / discards (off) sparse forms of every prunable weight
-  /// for the eval path; see Module::set_sparse and tensor/sparse.hpp.
+  /// Compiles and freezes (on) / unfreezes (off) the compiled form of every
+  /// prunable weight for the eval path; see Module::set_sparse and
+  /// tensor/sparse.hpp.
   void set_sparse(bool on) { root_->set_sparse(on); }
   void zero_grad();
   /// Re-applies all masks so pruned weights are exactly zero.

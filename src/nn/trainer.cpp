@@ -11,7 +11,6 @@
 #include "obs/obs.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
-#include "tensor/sparse.hpp"
 
 namespace rp::nn {
 
@@ -35,21 +34,18 @@ class ShardNets {
   std::vector<NetworkPtr> clones_;
 };
 
-/// Compiles sparse weights for the primary net and every shard clone at
-/// entry, discards them at exit. Scoped to one eval/predict/profile call so
-/// the compiled forms can never go stale: training and pruning between calls
-/// always mutate the dense weights. A no-op under RP_SPARSE=off.
+/// Compiles and freezes the weights of the primary net and every shard
+/// clone at entry, unfreezes them at exit. Scoped to one eval/predict/profile
+/// call so the compiled forms can never go stale: training and pruning
+/// between calls always mutate the weights.
 class SparseScope {
  public:
-  SparseScope(Network& net, ShardNets& nets)
-      : net_(net), nets_(nets), on_(sparse::mode() != sparse::Mode::kOff) {
-    if (!on_) return;
+  SparseScope(Network& net, ShardNets& nets) : net_(net), nets_(nets) {
     const obs::Span span("sparse.compile");
     net_.set_sparse(true);
     for (auto& c : nets_.clones()) c->set_sparse(true);
   }
   ~SparseScope() {
-    if (!on_) return;
     net_.set_sparse(false);
     for (auto& c : nets_.clones()) c->set_sparse(false);
   }
@@ -59,7 +55,6 @@ class SparseScope {
  private:
   Network& net_;
   ShardNets& nets_;
-  bool on_;
 };
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include "nn/models.hpp"
 #include "obs/obs.hpp"
-#include "tensor/sparse.hpp"
 
 namespace rp::serve {
 
@@ -22,7 +21,7 @@ nn::NetworkPtr load_net(const FamilySpec& spec, exp::ArtifactCache& cache,
   auto net = nn::build_network(spec.arch, spec.task, /*seed=*/0);
   net->load_state(*state);
   net->enforce_masks();
-  if (sparse::mode() != sparse::Mode::kOff) net->set_sparse(true);
+  net->set_sparse(true);
   return net;
 }
 

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
 
 namespace rp {
@@ -184,31 +183,6 @@ simd::ConvDxArgs batch_dx_args(const float* w, int64_t out_c, int64_t in_c, int6
   static constexpr simd::ConvTap kTap{0, 0, 0};
   static constexpr int32_t kTapPtr[2] = {0, 1};
   return simd::ConvDxArgs{dyt, w, &kTap, kTapPtr, out_c, in_c, 1, n, 1, 1, n, dxt};
-}
-
-void conv_zero_masks(const Tensor& w, uint8_t* nz) {
-  const int64_t out_c = w.size(0), patch = w.size(1);
-  const float* wd = w.data().data();
-  std::memset(nz, 0, static_cast<size_t>(conv_mask_size(out_c, patch)));
-  for (int64_t o = 0; o < out_c; ++o) {
-    uint8_t* row = nz + (o / 4) * patch;
-    const auto bit = static_cast<uint8_t>(1u << (o % 4));
-    for (int64_t r = 0; r < patch; ++r) {
-      if (wd[o * patch + r] != 0.0f) row[r] |= bit;
-    }
-  }
-}
-
-// rp-lint: hot
-void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a) {
-  obs::count(obs::Counter::kGemmCalls);
-  const int64_t out_c = w.size(0);
-  const float* wd = w.data().data();
-  const auto kernel = simd::kernels().conv_dense;
-  // The index is a block of four output channels, the dense kernel's
-  // register tile, so a chunk never splits a tile.
-  auto blocks = [&](int64_t b0, int64_t b1) { kernel(a, wd, nz, 4 * b0, std::min(out_c, 4 * b1)); };
-  parallel::parallel_for(0, (out_c + 3) / 4, 2 * 4 * a.patch * a.oh * a.ow, blocks);
 }
 
 void conv_dx_weight(const Tensor& w, const ConvGeom& g, float* wx) {

@@ -106,24 +106,6 @@ struct BatchPlane {
 simd::ConvDxArgs batch_dx_args(const float* w, int64_t out_c, int64_t in_c, int64_t n,
                                const float* dyt, float* dxt);
 
-/// Bytes of zero masks conv_zero_masks writes for an [out_c, patch] weight.
-inline int64_t conv_mask_size(int64_t out_c, int64_t patch) { return (out_c + 3) / 4 * patch; }
-
-/// Zero masks of a dense conv weight w [out_c, patch], for the dense conv
-/// kernel: byte (o / 4) * patch + r has bit o % 4 set when w[o, r] != 0.0f.
-/// They change whenever w does, so a training forward rebuilds them per call
-/// (out_c * patch tests, against out_c * patch * out_h * out_w MACs).
-void conv_zero_masks(const Tensor& w, uint8_t* nz);
-
-/// Conv forward with a dense weight w [out_c, patch] and its zero masks:
-/// y[o, p] = Σ_r w[o, r] · patch(r, p) (+ bias[o] when a.bias is non-null)
-/// for the arguments of ConvPlan::args or BatchPlane::args. Each output is
-/// the fma chain over r ascending from +0, zero weights skipped, then one
-/// add of the bias. Blocks of four output channels go across lanes by
-/// parallel_for's cost rule; each is owned by one lane, so results are
-/// bit-identical for any RP_THREADS. Counts one gemm.calls.
-void conv_forward(const Tensor& w, const uint8_t* nz, const simd::ConvArgs& a);
-
 /// The input-gradient kernel's weight operand wx [k·k, out_c, in_c] (as
 /// many floats as w), from a dense conv weight w [out_c, patch]: wx[(t·out_c + o)·in_c + c] =
 /// w[o, c·k·k + t]. The weights of one tap and output channel sit side by

@@ -81,7 +81,7 @@ struct Kernels {
   // multiply-add single-rounded from a +0 start, weights equal to 0.0f
   // skipped (so a NaN/Inf input under a zero weight never reaches the
   // output), then one add of bias[o] when bias is non-null. conv_dense reads a dense row-major w [out_c, patch] plus its
-  // zero masks nz (tensor/conv.hpp conv_zero_masks), which it may use in
+  // zero masks nz (tensor/sparse.hpp SparseWeight::masks), which it may use in
   // place of testing w; conv_csr walks row o's stored CSR entries
   // (values[row_ptr[o]:row_ptr[o+1]] at ascending columns col_idx[...]) in
   // order, so a stored 0.0f stays a no-op too. Neither reads the plane

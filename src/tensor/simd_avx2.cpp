@@ -135,7 +135,7 @@ __attribute__((always_inline)) inline void unroll(F&& f) {
 }
 
 // Dense tile: OB output channels from o × NV slots. nz holds one byte of
-// nonzero bits per (four-channel block, patch row), see conv_zero_masks: a
+// nonzero bits per (four-channel block, patch row), see SparseWeight::masks: a
 // row whose OB weights are all nonzero runs its fmas with no test per
 // channel, an all-zero row is skipped without loading the plane, and a
 // mixed row tests each channel's bit.

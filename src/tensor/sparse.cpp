@@ -60,28 +60,31 @@ void csr_forward(const SparseWeight& w, const simd::ConvArgs& a) {
   parallel::parallel_for(0, w.rows, row_cost, channels);
 }
 
+// Runs the dense conv kernel on w's values with the dense layout's masks.
+// The index is a block of four output channels, the kernel's register tile,
+// so a chunk never splits a tile.
+void dense_forward(const Tensor& w, const SparseWeight& sw, const simd::ConvArgs& a) {
+  if (w.ndim() != 2 || w.size(0) != sw.rows || w.size(1) != sw.cols) {
+    throw std::invalid_argument("sparse::conv_forward: weight " + w.shape().to_string() +
+                                " does not match its compiled [" + std::to_string(sw.rows) +
+                                ", " + std::to_string(sw.cols) + "]");
+  }
+  obs::count(obs::Counter::kGemmCalls);
+  const float* wd = w.data().data();
+  const uint8_t* nz = sw.masks.data();
+  const auto kernel = simd::kernels().conv_dense;
+  auto blocks = [&](int64_t b0, int64_t b1) {
+    kernel(a, wd, nz, 4 * b0, std::min(sw.rows, 4 * b1));
+  };
+  parallel::parallel_for(0, (sw.rows + 3) / 4, 2 * 4 * a.patch * a.oh * a.ow, blocks);
+}
+
 void check_linear(int64_t rows, int64_t cols, const Tensor& x, const Tensor& y,
                   const char* who) {
   if (x.ndim() != 2 || y.ndim() != 2 || x.size(1) != cols || y.size(0) != x.size(0) ||
       y.size(1) != rows) {
     throw std::invalid_argument(std::string(who) + ": incompatible shapes");
   }
-}
-
-// y = x @ wᵀ for a [rows, x.size(1)] weight, as a 1×1 conv over the batch:
-// `forward` runs a conv forward kernel on the plane xᵀ into the scratch yᵀ,
-// which is then transposed into y.
-template <typename Forward>
-void batch_forward(int64_t rows, const Tensor& x, Tensor& y, Forward&& forward) {
-  const int64_t n = x.size(0);
-  if (n == 0 || rows == 0 || x.size(1) == 0) {
-    y.zero();
-    return;
-  }
-  const BatchPlane plane(x);
-  Tensor yt = Tensor::scratch(Shape{rows, n});
-  forward(plane.args(yt.data().data()));
-  transpose(yt.data().data(), rows, n, y.data().data());
 }
 
 }  // namespace
@@ -156,15 +159,14 @@ SparseWeight compile(const Tensor& w, Mode m) {
   const float* d = w.data().data();
 
   SparseWeight sw;
-  sw.layout = plan.layout;
+  if (plan.layout == Layout::kDense) {
+    rebuild(w, sw);
+    return sw;
+  }
+  sw.layout = Layout::kCsr;
   sw.rows = rows;
   sw.cols = cols;
   sw.nnz = plan.nnz;
-
-  if (plan.layout == Layout::kDense) {
-    sw.dense = w;
-    return sw;
-  }
 
   sw.row_ptr.reserve(static_cast<size_t>(rows) + 1);
   sw.col_idx.reserve(static_cast<size_t>(plan.nnz));
@@ -189,16 +191,39 @@ SparseWeight compile(const Tensor& w, Mode m) {
 
 SparseWeight compile(const Tensor& w) { return compile(w, mode()); }
 
+void rebuild(const Tensor& w, SparseWeight& sw) {
+  require_2d(w, "sparse::rebuild");
+  if (sw.layout != Layout::kDense) sw = SparseWeight{};  // frees the CSR arrays
+  const int64_t rows = w.size(0), cols = w.size(1);
+  sw.rows = rows;
+  sw.cols = cols;
+  sw.masks.assign(static_cast<size_t>((rows + 3) / 4 * cols), 0);
+  const float* d = w.data().data();
+  int64_t nnz = 0;
+  for (int64_t o = 0; o < rows; ++o) {
+    uint8_t* row = sw.masks.data() + (o / 4) * cols;
+    const auto bit = static_cast<uint8_t>(1u << (o % 4));
+    for (int64_t r = 0; r < cols; ++r) {
+      const bool live = d[o * cols + r] != 0.0f;
+      row[r] |= live ? bit : 0;
+      nnz += live;
+    }
+  }
+  sw.nnz = nnz;
+}
+
 int64_t SparseWeight::bytes() const {
   auto vec_bytes = [](const auto& v) {
     return static_cast<int64_t>(v.size() * sizeof(v[0]));
   };
-  if (layout == Layout::kDense) return dense.numel() * static_cast<int64_t>(sizeof(float));
+  if (layout == Layout::kDense) return vec_bytes(masks);
   return vec_bytes(row_ptr) + vec_bytes(col_idx) + vec_bytes(values);
 }
 
 Tensor SparseWeight::to_dense() const {
-  if (layout == Layout::kDense) return dense;
+  if (layout == Layout::kDense) {
+    throw std::logic_error("SparseWeight::to_dense: the dense layout holds no values");
+  }
   Tensor out(Shape{rows, cols});
   float* d = out.data().data();
   for (int64_t i = 0; i < rows; ++i) {
@@ -214,25 +239,28 @@ Tensor SparseWeight::to_dense() const {
 // Execution
 
 // rp-lint: hot
-void dense_rhs_matmul_into(const Tensor& w, const uint8_t* nz, const Tensor& x, Tensor& y) {
-  require_2d(w, "sparse::dense_rhs_matmul_into");
-  check_linear(w.size(0), w.size(1), x, y, "sparse::dense_rhs_matmul_into");
-  batch_forward(w.size(0), x, y, [&](const simd::ConvArgs& a) { rp::conv_forward(w, nz, a); });
-}
-
-// rp-lint: hot
-void rhs_matmul_into(const SparseWeight& w, const uint8_t* nz, const Tensor& x, Tensor& y) {
-  check_linear(w.rows, w.cols, x, y, "sparse::rhs_matmul_into");
-  batch_forward(w.rows, x, y, [&](const simd::ConvArgs& a) { conv_forward(w, nz, a); });
-}
-
-// rp-lint: hot
-void conv_forward(const SparseWeight& w, const uint8_t* nz, const simd::ConvArgs& a) {
-  if (w.layout == Layout::kDense) {
-    rp::conv_forward(w.dense, nz, a);
+void rhs_matmul_into(const Tensor& w, const SparseWeight& compiled, const Tensor& x, Tensor& y) {
+  check_linear(compiled.rows, compiled.cols, x, y, "sparse::rhs_matmul_into");
+  const int64_t n = x.size(0);
+  if (n == 0 || compiled.rows == 0 || compiled.cols == 0) {
+    y.zero();
     return;
   }
-  csr_forward(w, a);
+  // A 1×1 conv over the batch: the forward kernel runs on the plane xᵀ into
+  // the scratch yᵀ, which is then transposed into y.
+  const BatchPlane plane(x);
+  Tensor yt = Tensor::scratch(Shape{compiled.rows, n});
+  conv_forward(w, compiled, plane.args(yt.data().data()));
+  transpose(yt.data().data(), compiled.rows, n, y.data().data());
+}
+
+// rp-lint: hot
+void conv_forward(const Tensor& w, const SparseWeight& compiled, const simd::ConvArgs& a) {
+  if (compiled.layout == Layout::kCsr) {
+    csr_forward(compiled, a);
+    return;
+  }
+  dense_forward(w, compiled, a);
 }
 
 }  // namespace rp::sparse

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "conv_ref.hpp"
@@ -358,8 +359,9 @@ TEST(ConvBitIdentity, MatchesReferenceFormulation) {
               EXPECT_TRUE(same_bits(params[1]->grad, ref.db));
             }
             // The compiled eval forward: auto picks dense or CSR from the
-            // density, csr forces the CSR conv kernel at every density.
-            for (const sparse::Mode m : {sparse::Mode::kAuto, sparse::Mode::kCsr}) {
+            // density, csr forces the CSR conv kernel at every density, off
+            // freezes the dense masks.
+            for (const sparse::Mode m : {sparse::Mode::kAuto, sparse::Mode::kCsr, sparse::Mode::kOff}) {
               sparse::force(m);
               conv.set_sparse(true);
               EXPECT_TRUE(same_bits(conv.forward(x, false), ref.y))
@@ -516,6 +518,121 @@ TEST(Linear, WrongInputThrows) {
   Rng rng(14);
   Linear fc("fc", 5, 4, false, rng);
   EXPECT_THROW(fc.forward(Tensor(Shape{3, 6}), false), std::invalid_argument);
+}
+
+// ----- The compiled weight's freeze contract (Module::set_sparse) ---------------------
+
+/// Runs the freeze contract on a fresh layer from `make` under RP_SPARSE
+/// off, csr and auto:
+///   1. set_sparse(true) compiles the weight, and the eval forward then
+///      equals the uncompiled one bit for bit;
+///   2. after set_sparse(false), pruning more weights reaches the eval and
+///      then the training forward;
+///   3. after set_sparse(true) and more pruning, a training forward runs the
+///      live weight too.
+/// Pruning phase p (0 in step 2, 1 in step 3) zeroes, through the mask and
+/// enforce_mask, every weight that reads an input NaN in x_dead[p]
+/// (`dead(p, j)`) plus every third entry. The forwards after it run on
+/// x_dead[p] and must equal `ref(w, x_dead[p])`, which skips zero weights:
+/// a compiled form that went stale (live at a newly dead weight) would turn
+/// an output NaN or change its bits.
+template <typename Make, typename Dead, typename Ref>
+void expect_freeze_contract(Make make, const Tensor& x, const Tensor (&x_dead)[2], Dead dead,
+                            Ref ref) {
+  for (const sparse::Mode m : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+    SCOPED_TRACE(std::string("RP_SPARSE=") + sparse::mode_name(m));
+    sparse::force(m);
+    auto layer = make();
+    Parameter& w = layer->weight();
+    auto prune = [&](int phase) {
+      for (int64_t j = 0; j < w.mask.numel(); ++j) {
+        if (dead(phase, j) || j % 3 == phase) w.mask[j] = 0.0f;
+      }
+      w.enforce_mask();
+      const Tensor want = ref(w.value, x_dead[phase]);
+      for (const float v : want.data()) EXPECT_TRUE(std::isfinite(v));
+      return want;
+    };
+
+    const Tensor live = layer->forward(x, false);
+    layer->set_sparse(true);
+    EXPECT_TRUE(same_bits(layer->forward(x, false), live)) << "compiled eval forward";
+    layer->set_sparse(false);
+
+    const Tensor pruned = prune(0);
+    EXPECT_TRUE(same_bits(layer->forward(x_dead[0], false), pruned)) << "eval forward after off";
+    EXPECT_TRUE(same_bits(layer->forward(x_dead[0], true), pruned)) << "training forward after off";
+
+    layer->set_sparse(true);
+    const Tensor pruned_more = prune(1);
+    EXPECT_TRUE(same_bits(layer->forward(x_dead[1], true), pruned_more)) << "training forward";
+    layer->set_sparse(false);
+  }
+  sparse::reset();
+}
+
+TEST(CompiledWeight, Conv2dFreezesAtSetSparseAndThawsOnOffOrTraining) {
+  // Input channel 0 dies in phase 0 and channel 1 in phase 1; channel c's
+  // weights are columns [c·k·k, (c + 1)·k·k) of each row.
+  constexpr int64_t kInC = 3, kOutC = 6, kK = 3, kHw = 6, kN = 2;
+  constexpr int64_t kPatch = kInC * kK * kK, kPlane = kHw * kHw;
+  Rng rng(31);
+  const Tensor x = Tensor::randn(Shape{kN, kInC, kHw, kHw}, rng);
+  Tensor x_dead[2] = {x, x};
+  for (int phase = 0; phase < 2; ++phase) {
+    for (int64_t i = 0; i < kN; ++i) {
+      float* xi = x_dead[phase].data().data() + i * kInC * kPlane;
+      for (int64_t p = 0; p < (phase + 1) * kPlane; ++p) {
+        xi[p] = std::numeric_limits<float>::quiet_NaN();
+      }
+    }
+  }
+  const Tensor bias = Tensor::randn(Shape{kOutC}, rng);
+  auto make = [&] {
+    Rng init(32);
+    auto conv = std::make_unique<Conv2d>("c", kInC, kOutC, kK, 1, 1, kHw, kHw, true, init);
+    std::vector<Parameter*> params;
+    conv->collect_params(params);
+    params[1]->value = bias;
+    return conv;
+  };
+  const ConvGeom g{kInC, kHw, kHw, kK, 1, 1};
+  const Tensor dy(Shape{kN, kOutC, kHw, kHw}), dw0(Shape{kOutC, kPatch}), db0(Shape{kOutC});
+  expect_freeze_contract(
+      make, x, x_dead, [&](int phase, int64_t j) { return j % kPatch / (kK * kK) <= phase; },
+      [&](const Tensor& w, const Tensor& in) { return ref_conv(g, w, &bias, in, dy, dw0, db0).y; });
+}
+
+TEST(CompiledWeight, LinearFreezesAtSetSparseAndThawsOnOffOrTraining) {
+  // Input column 3 dies in phase 0 and column 7 in phase 1.
+  constexpr int64_t kIn = 13, kOut = 10, kN = 5;
+  Rng rng(33);
+  const Tensor x = Tensor::randn(Shape{kN, kIn}, rng);
+  Tensor x_dead[2] = {x, x};
+  for (int64_t i = 0; i < kN; ++i) {
+    x_dead[0].at(i, 3) = x_dead[1].at(i, 3) = std::numeric_limits<float>::quiet_NaN();
+    x_dead[1].at(i, 7) = std::numeric_limits<float>::quiet_NaN();
+  }
+  const Tensor bias = Tensor::randn(Shape{kOut}, rng);
+  auto make = [&] {
+    Rng init(34);
+    auto fc = std::make_unique<Linear>("fc", kIn, kOut, true, init);
+    std::vector<Parameter*> params;
+    fc->collect_params(params);
+    params[1]->value = bias;
+    return fc;
+  };
+  expect_freeze_contract(
+      make, x, x_dead,
+      [&](int phase, int64_t j) { return j % kIn == 3 || (phase == 1 && j % kIn == 7); },
+      [&](const Tensor& w, const Tensor& in) {
+        Tensor y(Shape{in.size(0), kOut});
+        rp::testing::ref_matmul(in, w, y, false, /*tb=*/true, rp::testing::SkipZeros::kB);
+        for (int64_t i = 0; i < in.size(0); ++i) {
+          for (int64_t o = 0; o < kOut; ++o) y.at(i, o) += bias[o];
+        }
+        return y;
+      });
 }
 
 // ----- BatchNorm2d -------------------------------------------------------------------

@@ -50,13 +50,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TensorAlgebraTest, ::testing::Values(1, 2, 7, 64
 
 // ----- GEMM linearity --------------------------------------------------------------
 
-/// x @ wᵀ through the Linear forward entry: the dense conv kernel as a 1×1
-/// conv over the batch.
+/// x @ wᵀ through the Linear forward entry on w's dense layout: the dense
+/// conv kernel as a 1×1 conv over the batch.
 Tensor linear_product(const Tensor& x, const Tensor& w) {
-  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(w.size(0), w.size(1))));
-  conv_zero_masks(w, nz.data());
   Tensor y(Shape{x.size(0), w.size(0)});
-  sparse::dense_rhs_matmul_into(w, nz.data(), x, y);
+  sparse::rhs_matmul_into(w, sparse::compile(w, sparse::Mode::kOff), x, y);
   return y;
 }
 

@@ -1,7 +1,8 @@
 // Sparse execution engine suite (DESIGN.md §6 "Sparse execution"). The
-// contract under test: compiled dense / CSR layouts reconstruct the dense
-// weight bit-for-bit, the Linear entry is memcmp-identical to the dense
-// reference across the full RP_SPARSE × RP_SIMD × RP_THREADS matrix,
+// contract under test: a CSR layout reconstructs the weight bit-for-bit, a
+// dense layout's masks mark exactly its nonzero weights, the Linear entry is
+// memcmp-identical to the dense reference across the full
+// RP_SPARSE × RP_SIMD × RP_THREADS matrix,
 // and the obs counters observe the sparse path without perturbing a single
 // bit.
 
@@ -11,6 +12,7 @@
 
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -76,11 +78,10 @@ const std::pair<int64_t, int64_t> kShapes[] = {
 /// vector widths, and one wider than the scalar conv kernel's 2048-float pass.
 const int64_t kBatches[] = {0, 1, 4, 9, 33, 2100};
 
-/// Memcmps the Linear entry rhs_matmul_into(sw, x) against `ref` under
+/// Memcmps the Linear entry rhs_matmul_into(w, sw, x) against `ref` under
 /// RP_THREADS {1, 4} × {scalar, dispatched}.
-void expect_linear_bits(const sparse::SparseWeight& sw, const Tensor& x, const Tensor& ref) {
-  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(sw.rows, sw.cols)));
-  conv_zero_masks(sw.to_dense(), nz.data());
+void expect_linear_bits(const Tensor& w, const sparse::SparseWeight& sw, const Tensor& x,
+                        const Tensor& ref) {
   for (const bool scalar : {true, false}) {
     for (const int threads : {1, 4}) {
       SCOPED_TRACE(std::string(sparse::layout_name(sw.layout)) + " n=" +
@@ -93,7 +94,7 @@ void expect_linear_bits(const sparse::SparseWeight& sw, const Tensor& x, const T
       }
       parallel::set_num_threads(threads);
       Tensor y = Tensor::full(Shape{x.size(0), sw.rows}, -1.0f);  // every output is written
-      sparse::rhs_matmul_into(sw, nz.data(), x, y);
+      sparse::rhs_matmul_into(w, sw, x, y);
       EXPECT_TRUE(bits_equal(y, ref));
     }
   }
@@ -111,7 +112,7 @@ void expect_linear_matches_dense(const Tensor& w, uint64_t seed) {
     testing::ref_matmul(x, w, ref, false, /*tb=*/true, testing::SkipZeros::kB);
     for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
       SCOPED_TRACE(sparse::mode_name(mode));
-      expect_linear_bits(sparse::compile(w, mode), x, ref);
+      expect_linear_bits(w, sparse::compile(w, mode), x, ref);
     }
   }
 }
@@ -181,7 +182,35 @@ TEST(SparseAnalyze, ForcedModesOverrideTheMeasurement) {
 }
 
 // ---------------------------------------------------------------------------
-// compile() / to_dense(): exact round-trip in both layouts
+// compile(): a CSR layout round-trips through to_dense() bit for bit, and a
+// dense layout's masks mark exactly the nonzero weights
+
+/// Expects `sw` to be the layout compile() gives under `mode` for w: CSR
+/// reconstructs w bit for bit; the dense masks set bit o % 4 of byte
+/// (o / 4)·cols + r exactly when w[o, r] != 0 and no other bit, and hold no
+/// values (to_dense throws).
+void expect_compiled(const sparse::SparseWeight& sw, const Tensor& w, sparse::Mode mode) {
+  const int64_t rows = w.size(0), cols = w.size(1);
+  EXPECT_EQ(sw.layout, sparse::analyze(w, mode).layout);
+  EXPECT_EQ(sw.rows, rows);
+  EXPECT_EQ(sw.cols, cols);
+  EXPECT_EQ(sw.nnz, sparse::analyze(w, mode).nnz);
+  EXPECT_GT(sw.bytes(), 0);
+  if (sw.layout == sparse::Layout::kCsr) {
+    EXPECT_TRUE(sw.masks.empty());
+    EXPECT_TRUE(bits_equal(sw.to_dense(), w));
+    return;
+  }
+  EXPECT_TRUE(sw.row_ptr.empty() && sw.col_idx.empty() && sw.values.empty());
+  EXPECT_THROW(sw.to_dense(), std::logic_error);
+  ASSERT_EQ(sw.masks.size(), static_cast<size_t>((rows + 3) / 4 * cols));
+  for (int64_t o = 0; o < (rows + 3) / 4 * 4; ++o) {
+    for (int64_t r = 0; r < cols; ++r) {
+      const bool set = (sw.masks[static_cast<size_t>((o / 4) * cols + r)] >> (o % 4)) & 1u;
+      EXPECT_EQ(set, o < rows && w.at(o, r) != 0.0f) << "row " << o << ", column " << r;
+    }
+  }
+}
 
 TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
   uint64_t seed = 10;
@@ -192,11 +221,14 @@ TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
       const Tensor w = make_pruned(rows, cols, density, seed++);
       for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
         SCOPED_TRACE(sparse::mode_name(mode));
-        const auto sw = sparse::compile(w, mode);
-        EXPECT_TRUE(bits_equal(sw.to_dense(), w));
-        EXPECT_EQ(sw.rows, rows);
-        EXPECT_EQ(sw.cols, cols);
-        EXPECT_GT(sw.bytes(), 0);
+        expect_compiled(sparse::compile(w, mode), w, mode);
+      }
+      // rebuild() recompiles in place to the dense layout, from either one.
+      for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr}) {
+        SCOPED_TRACE(std::string("rebuild from ") + sparse::mode_name(mode));
+        sparse::SparseWeight sw = sparse::compile(make_pruned(rows, cols, 0.5, seed++), mode);
+        sparse::rebuild(w, sw);
+        expect_compiled(sw, w, sparse::Mode::kOff);
       }
     }
   }
@@ -204,11 +236,11 @@ TEST(SparseRoundTrip, EveryLayoutReconstructsEveryDensityBitExact) {
 
 TEST(SparseRoundTrip, AllZeroMatrixCompilesToEmptySparseForms) {
   Tensor w = Tensor::zeros(Shape{12, 20});
-  for (const auto mode : {sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+  for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
     SCOPED_TRACE(sparse::mode_name(mode));
     const auto sw = sparse::compile(w, mode);
     EXPECT_EQ(sw.nnz, 0);
-    EXPECT_TRUE(bits_equal(sw.to_dense(), w));
+    expect_compiled(sw, w, mode);
   }
 }
 
@@ -275,26 +307,30 @@ TEST(SparseMatmul, StoredZerosSkipNonFiniteInputs) {
     testing::ref_matmul(x, w0, ref, false, /*tb=*/true, testing::SkipZeros::kB);
     Tensor bad = x;
     for (int64_t i = 0; i < n; ++i) bad.at(i, p) = kNonFinite[i % 3];
-    expect_linear_bits(sw, bad, ref);
+    expect_linear_bits(w0, sw, bad, ref);
   }
 }
 
 TEST(SparseMatmul, MismatchedOutputShapeThrows) {
-  // Both Linear entries check y before writing it, so a wrong output shape
-  // is an error, not a write past y's buffer.
+  // The Linear entry checks y before writing it, so a wrong output shape is
+  // an error, not a write past y's buffer, under every mode. A dense layout
+  // also rejects a weight of another shape than the one it was compiled from,
+  // whose values its kernel would read.
   const Tensor w = make_pruned(4, 6, 0.5, 97);
   const Tensor x(Shape{3, 6});
-  std::vector<uint8_t> nz(static_cast<size_t>(conv_mask_size(4, 6)));
-  conv_zero_masks(w, nz.data());
-  for (const Shape& bad : {Shape{4, 3}, Shape{3, 5}, Shape{3, 4, 1}, Shape{12}}) {
-    Tensor y(bad);
-    EXPECT_THROW(sparse::dense_rhs_matmul_into(w, nz.data(), x, y), std::invalid_argument)
-        << bad.to_string();
-    EXPECT_THROW(
-        sparse::rhs_matmul_into(sparse::compile(w, sparse::Mode::kOff), nz.data(), x, y),
-        std::invalid_argument)
-        << bad.to_string();
+  for (const auto mode : {sparse::Mode::kOff, sparse::Mode::kCsr, sparse::Mode::kAuto}) {
+    SCOPED_TRACE(sparse::mode_name(mode));
+    const sparse::SparseWeight sw = sparse::compile(w, mode);
+    for (const Shape& bad : {Shape{4, 3}, Shape{3, 5}, Shape{3, 4, 1}, Shape{12}}) {
+      Tensor y(bad);
+      EXPECT_THROW(sparse::rhs_matmul_into(w, sw, x, y), std::invalid_argument)
+          << bad.to_string();
+    }
   }
+  Tensor y(Shape{3, 4});
+  EXPECT_THROW(
+      sparse::rhs_matmul_into(Tensor(Shape{6, 4}), sparse::compile(w, sparse::Mode::kOff), x, y),
+      std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
