@@ -2,8 +2,10 @@
 # One-shot verification gate: Release build + full test suite (which includes
 # the rp-lint tree scan and its fixture self-test) run three times — with the
 # dispatched SIMD kernels (RP_SPARSE defaults to auto, so the sparse engine is
-# live on every evaluate/predict), with RP_SIMD=off forcing the scalar
-# fallback, and with RP_SPARSE=off forcing the dense execution path (plus
+# live on every evaluate/predict), with RP_SIMD=off forcing the scalar conv
+# kernels (the only code RP_SIMD switches: the four conv kernels; the
+# elementwise ops have one implementation), and with RP_SPARSE=off forcing
+# the dense execution path (plus
 # the conv/sparse/serving/Linear/trainer slice with RP_SPARSE=csr forcing CSR, dispatched
 # and under RP_SIMD=off) — then a
 # fast smoke pass with RP_TRACE active (the trace file must come out as valid
@@ -46,7 +48,10 @@ RP_LINT_JSON="${RP_LINT_JSON:-build/rp_lint_findings.json}"
 python3 -c "import json,sys; n=len(json.load(open(sys.argv[1]))); print(f'lint archive OK: {n} record(s) ->', sys.argv[1])" \
   "$RP_LINT_JSON"
 
-echo "== [2/8] Same suite with RP_SIMD=off (scalar fallback) and RP_SPARSE=off (dense path) =="
+echo "== [2/8] Same suite with RP_SIMD=off (scalar conv kernels) and RP_SPARSE=off (dense path) =="
+# RP_SIMD=off swaps only the four conv kernels (dense, CSR, dW, dx) for the
+# scalar table; the full suite still runs under it, so every conv and Linear
+# result is checked on both tables.
 RP_SIMD=off ctest --test-dir build --output-on-failure -j "$JOBS"
 RP_SPARSE=off ctest --test-dir build --output-on-failure -j "$JOBS"
 # RP_SPARSE=csr compiles every layer to CSR, so the CSR conv kernel runs on

@@ -26,8 +26,12 @@ int64_t parse_int_spec(const std::string& var, const std::string& text, int64_t 
 
 void die_bad_spec(const char* what) {
   // Mirrors fault::init_from_env: a typo'd knob must never run silently.
+  // _Exit, not exit: a knob read lazily (RP_SIMD at the first conv kernel)
+  // is often first read on a pool worker, and exit()'s static destructors
+  // would join the pool from one of its own lanes and hang or abort.
   std::fprintf(stderr, "%s\n", what);
-  std::exit(2);
+  std::fflush(nullptr);
+  std::_Exit(2);
 }
 
 }  // namespace rp::env

@@ -14,13 +14,13 @@ namespace rp::simd {
 
 namespace {
 
-// -- scalar reference kernels ---------------------------------------------
+// -- scalar conv kernels --------------------------------------------------
 //
 // Every multiply-add is an explicit std::fma: a single-rounded fused op,
-// exactly what the AVX2 (vfmadd) and NEON (vfma) kernels execute per lane.
-// That — plus vectorizing only across the element index — is the whole
-// bit-exactness argument; see DESIGN.md §6. GCC still auto-vectorizes these
-// loops, so the scalar path is a correctness reference, not a slow path.
+// exactly what the AVX2 kernels (vfmadd) execute per lane. That — plus
+// vectorizing only across the element index — is the whole bit-exactness
+// argument; see DESIGN.md §6. GCC still auto-vectorizes these loops, so the
+// scalar table is a correctness reference, not a slow path.
 
 void fma_row(float w, const float* __restrict src, float* __restrict dst, int64_t n) {
   for (int64_t x = 0; x < n; ++x) dst[x] = std::fma(w, src[x], dst[x]);
@@ -61,8 +61,6 @@ void scalar_conv_channel(const ConvArgs& a, int64_t o, Chain&& chain) {
   }
 }
 
-}  // namespace
-
 void scalar_conv_dense(const ConvArgs& a, const float* w, const uint8_t* /*nz*/, int64_t o0,
                        int64_t o1) {
   for (int64_t o = o0; o < o1; ++o) {
@@ -85,8 +83,6 @@ void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* c
     });
   }
 }
-
-namespace {
 
 // Weight gradient of channels [o, o + w), w <= 8, for patch rows
 // [r, r + R), as a local R × 8 tile the compiler keeps in vector registers.
@@ -138,8 +134,6 @@ int64_t dx_chains(const float* w, int64_t cin, int64_t out_c, const float* src, 
   }
   return i;
 }
-
-}  // namespace
 
 void scalar_conv_dw(const ConvDwArgs& a) {
   constexpr int kRows = 4;
@@ -208,56 +202,64 @@ void scalar_conv_dx(const ConvDxArgs& a) {
   }
 }
 
-namespace {
+constexpr Kernels kScalarKernels{scalar_conv_dense, scalar_conv_csr, scalar_conv_dw,
+                                 scalar_conv_dx};
 
-void s_relu(float* x, int64_t n) {
+}  // namespace
+
+// -- elementwise / reduction ops ---------------------------------------------
+//
+// The only implementation: the Release flags let GCC vectorize every loop
+// here except the two reductions, whose std::max fold it keeps in order.
+
+void relu(float* x, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::max(x[i], 0.0f);
 }
 
-void s_relu_grad(const float* x, float* d, int64_t n) {
+void relu_grad(const float* x, float* d, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     if (x[i] <= 0.0f) d[i] = 0.0f;
   }
 }
 
-void s_add(float* dst, const float* src, int64_t n) {
+void add(float* dst, const float* src, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void s_mul(float* dst, const float* src, int64_t n) {
+void mul(float* dst, const float* src, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] *= src[i];
 }
 
-void s_add_scalar(float* dst, float v, int64_t n) {
+void add_scalar(float* dst, float v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] += v;
 }
 
-void s_scale(float* dst, float v, int64_t n) {
+void scale(float* dst, float v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] *= v;
 }
 
-void s_div_scalar(float* dst, float v, int64_t n) {
+void div_scalar(float* dst, float v, int64_t n) {
   for (int64_t i = 0; i < n; ++i) dst[i] /= v;
 }
 
-void s_clamp(float* x, float lo, float hi, int64_t n) {
+void clamp(float* x, float lo, float hi, int64_t n) {
   for (int64_t i = 0; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
 }
 
-float s_reduce_max(const float* x, int64_t n) {
+float reduce_max(const float* x, int64_t n) {
   float m = x[0];
   for (int64_t i = 1; i < n; ++i) m = std::max(m, x[i]);
   return m;
 }
 
-float s_reduce_abs_max(const float* x, int64_t n) {
+float reduce_abs_max(const float* x, int64_t n) {
   float m = 0.0f;
   for (int64_t i = 0; i < n; ++i) m = std::max(m, std::abs(x[i]));
   return m;
 }
 
-void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, float wd,
-                bool nesterov, int64_t n) {
+void sgd_step(float* p, const float* grad, float* vel, float lr, float mu, float wd,
+              bool nesterov, int64_t n) {
   for (int64_t i = 0; i < n; ++i) {
     const float g = std::fma(wd, p[i], grad[i]);
     const float v = std::fma(mu, vel[i], g);
@@ -267,26 +269,13 @@ void s_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, flo
   }
 }
 
-constexpr Kernels kScalarKernels{
-    scalar_conv_dense, scalar_conv_csr, scalar_conv_dw, scalar_conv_dx,
-    s_relu,       s_relu_grad,  s_add,        s_mul,
-    s_add_scalar, s_scale, s_div_scalar, s_clamp,
-    s_reduce_max, s_reduce_abs_max,      s_sgd_step,
-};
-
 // -- dispatch --------------------------------------------------------------
+
+namespace {
 
 bool cpu_has_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
-bool cpu_has_neon() {
-#if defined(__aarch64__)
-  return true;  // NEON is baseline on AArch64
 #else
   return false;
 #endif
@@ -303,13 +292,9 @@ bool parse_isa_spec(const std::string& text, Isa* out) {
     *out = Isa::kAvx2;
     return true;
   }
-  if (text == "neon") {
-    *out = Isa::kNeon;
-    return true;
-  }
   if (text == "auto") return false;
   throw std::invalid_argument("RP_SIMD: bad value '" + text +
-                              "' (expected off|scalar|avx2|neon|auto)");
+                              "' (expected off|scalar|avx2|auto)");
 }
 
 namespace {
@@ -319,19 +304,9 @@ Isa resolve_from_env() {
   if (const char* env = std::getenv("RP_SIMD")) want = env;
   Isa requested = Isa::kScalar;
   const bool specific = env::die_on_bad_spec([&] { return parse_isa_spec(want, &requested); });
-  if (specific) {
-    if (requested == Isa::kAvx2) {
-      return (avx2_kernels() != nullptr && cpu_has_avx2_fma()) ? Isa::kAvx2 : Isa::kScalar;
-    }
-    if (requested == Isa::kNeon) {
-      return (neon_kernels() != nullptr && cpu_has_neon()) ? Isa::kNeon : Isa::kScalar;
-    }
-    return Isa::kScalar;
-  }
-  // auto: best ISA compiled in + supported.
-  if (avx2_kernels() != nullptr && cpu_has_avx2_fma()) return Isa::kAvx2;
-  if (neon_kernels() != nullptr && cpu_has_neon()) return Isa::kNeon;
-  return Isa::kScalar;
+  // auto, or an explicit avx2: AVX2 when compiled in + supported.
+  if (specific && requested == Isa::kScalar) return Isa::kScalar;
+  return (avx2_kernels() != nullptr && cpu_has_avx2_fma()) ? Isa::kAvx2 : Isa::kScalar;
 }
 
 // Dispatch override for force()/reset(); -1 = resolve from env+CPU. Written
@@ -352,8 +327,6 @@ const Kernels* table_for(Isa isa) {
   switch (isa) {
     case Isa::kAvx2:
       return avx2_kernels();
-    case Isa::kNeon:
-      return neon_kernels();
     case Isa::kScalar:
       break;
   }
@@ -383,8 +356,6 @@ const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kScalar:
       break;
   }

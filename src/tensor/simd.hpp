@@ -3,26 +3,29 @@
 #include <cstdint>
 #include <string>
 
-// Runtime-dispatched SIMD kernels for the handful of hot loops the profiler
-// actually sees: the dense and CSR implicit-GEMM conv kernels and the conv
-// backward's two gradient kernels, which run every conv and Linear layer,
-// and the elementwise/reduction ops used by layers, the optimizer, and the
-// losses.
+// Runtime-dispatched SIMD kernels for the hot loops the profiler actually
+// sees: the dense and CSR implicit-GEMM conv kernels and the conv backward's
+// two gradient kernels, which run every conv and Linear layer. Two tables
+// hold them: the scalar one and, where the toolchain and CPU have it,
+// AVX2+FMA. The elementwise/reduction ops below the tables (used by layers,
+// the optimizer and the losses) have one implementation, compiled once and
+// left to the compiler's auto-vectorizer; RP_SIMD does not switch them.
 //
-// Contract (DESIGN.md §6): every ISA implementation of a kernel performs the
-// *same per-element arithmetic in the same order* as the scalar fallback.
-// Vector lanes run across independent output elements only, so each output
-// element still sees its accumulation chain in the original serial order, and every multiply-add is a single-rounded fused op (`std::fma` in
-// scalar code, vfmadd/vfma in vector code). Results are therefore
-// bit-identical across scalar/AVX2/NEON and across RP_SIMD=off/on — the same
-// guarantee the thread pool gives for RP_THREADS=1 vs N.
+// Contract (DESIGN.md §6): the AVX2 conv kernels perform the *same
+// per-element arithmetic in the same order* as the scalar ones. Vector lanes
+// run across independent output elements only, so each output element still
+// sees its accumulation chain in the original serial order, and every
+// multiply-add is a single-rounded fused op (`std::fma` in scalar code,
+// vfmadd in vector code). Results are therefore bit-identical across
+// RP_SIMD=off/on — the same guarantee the thread pool gives for RP_THREADS=1
+// vs N.
 //
-// Selection: RP_SIMD=off|scalar forces the scalar kernels, RP_SIMD=avx2|neon
-// requests a specific ISA (falling back to scalar when unavailable), and
-// unset/auto picks the best ISA compiled in and supported by the CPU.
+// Selection: RP_SIMD=off|scalar forces the scalar conv kernels, RP_SIMD=avx2
+// requests AVX2 (falling back to scalar when unavailable), and unset/auto
+// picks AVX2 when it is compiled in and supported by the CPU.
 namespace rp::simd {
 
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2 };
+enum class Isa { kScalar = 0, kAvx2 = 1 };
 
 // One sample of an implicit-GEMM conv forward (tensor/conv.hpp ConvPlan), or
 // a Linear batch as a 1×1 conv (BatchPlane).
@@ -71,9 +74,8 @@ struct ConvDxArgs {
   float* dx;             // [in_c, in_h, in_w] input gradient, every element overwritten
 };
 
-// Kernel function-pointer table. One instance per compiled-in ISA; all
-// entries are non-null in every table (an ISA that has no custom version of
-// an op points at the scalar one).
+// Conv kernel function-pointer table. One instance per compiled-in ISA; all
+// entries are non-null in every table.
 struct Kernels {
   // Implicit-GEMM conv forward over output channels [o0, o1) of one sample:
   //   y[o, y·ow + x] = Σ_r w[o, r] · plane[off[r] + y·ld + x]  (+ bias[o])
@@ -106,22 +108,6 @@ struct Kernels {
   // Neither reads dy or the plane outside the channel planes they index.
   void (*conv_dw)(const ConvDwArgs& a);
   void (*conv_dx)(const ConvDxArgs& a);
-
-  void (*relu)(float* x, int64_t n);                                // x = max(x, 0)
-  void (*relu_grad)(const float* x, float* d, int64_t n);           // d = x<=0 ? 0 : d
-  void (*add)(float* dst, const float* src, int64_t n);             // dst += src
-  void (*mul)(float* dst, const float* src, int64_t n);             // dst *= src
-  void (*add_scalar)(float* dst, float v, int64_t n);               // dst += v
-  void (*scale)(float* dst, float v, int64_t n);                    // dst *= v
-  void (*div_scalar)(float* dst, float v, int64_t n);               // dst /= v
-  void (*clamp)(float* x, float lo, float hi, int64_t n);           // x = clamp(x, lo, hi)
-  float (*reduce_max)(const float* x, int64_t n);                   // max(x); n >= 1
-  float (*reduce_abs_max)(const float* x, int64_t n);               // max(|x|); 0 for n == 0
-  // Fused SGD+momentum step over one parameter block:
-  //   g = grad + wd * p;  v = mu * v + g;  p -= lr * (nesterov ? g + mu*v : v)
-  // every multiply-add single-rounded (std::fma / vfmadd).
-  void (*sgd_step)(float* p, const float* grad, float* vel, float lr, float mu, float wd,
-                   bool nesterov, int64_t n);
 };
 
 // ISA resolved once from RP_SIMD + CPU/compile-time support (or the last
@@ -130,7 +116,7 @@ Isa active();
 const Kernels& kernels();
 
 // Parses an RP_SIMD spec: sets *out and returns true for "off"/"scalar"
-// (kScalar), "avx2", "neon"; returns false for "auto" (resolution picks the
+// (kScalar), "avx2"; returns false for "auto" (resolution picks the
 // best available ISA). Anything else throws std::invalid_argument naming
 // RP_SIMD — at the env-resolution site that means exit(2), never a silent
 // fall-through to auto ("RP_SIMD=axv2" must not quietly change what a
@@ -142,37 +128,34 @@ bool parse_isa_spec(const std::string& text, Isa* out);
 void force(Isa isa);
 void reset();
 
-// Human-readable name of an ISA ("scalar", "avx2", "neon").
+// Human-readable name of an ISA ("scalar", "avx2").
 const char* isa_name(Isa isa);
 
-// Scalar conv kernels, for ISA tables that have no version of their own.
-void scalar_conv_dense(const ConvArgs& a, const float* w, const uint8_t* nz, int64_t o0,
-                       int64_t o1);
-void scalar_conv_csr(const ConvArgs& a, const int32_t* row_ptr, const int32_t* col_idx,
-                     const float* values, int64_t o0, int64_t o1);
-void scalar_conv_dw(const ConvDwArgs& a);
-void scalar_conv_dx(const ConvDxArgs& a);
-
-// Per-ISA tables; getters return nullptr when the ISA wasn't compiled in.
-// (Internal wiring for simd.cpp, exposed for the dispatch unit test.)
+// The AVX2 table, or nullptr when it wasn't compiled in. (Internal wiring
+// for simd.cpp, exposed for the dispatch unit test.)
 const Kernels* avx2_kernels();
-const Kernels* neon_kernels();
 
-// -- convenience wrappers -------------------------------------------------
+// -- elementwise / reduction ops --------------------------------------------
+//
+// One implementation each (simd.cpp), whatever RP_SIMD says. The reductions
+// fold in index order through std::max, which keeps the running value when
+// the new element is NaN: reduce_abs_max drops every NaN, reduce_max every
+// NaN but one at x[0].
 
-inline void relu(float* x, int64_t n) { kernels().relu(x, n); }
-inline void relu_grad(const float* x, float* d, int64_t n) { kernels().relu_grad(x, d, n); }
-inline void add(float* dst, const float* src, int64_t n) { kernels().add(dst, src, n); }
-inline void mul(float* dst, const float* src, int64_t n) { kernels().mul(dst, src, n); }
-inline void add_scalar(float* dst, float v, int64_t n) { kernels().add_scalar(dst, v, n); }
-inline void scale(float* dst, float v, int64_t n) { kernels().scale(dst, v, n); }
-inline void div_scalar(float* dst, float v, int64_t n) { kernels().div_scalar(dst, v, n); }
-inline void clamp(float* x, float lo, float hi, int64_t n) { kernels().clamp(x, lo, hi, n); }
-inline float reduce_max(const float* x, int64_t n) { return kernels().reduce_max(x, n); }
-inline float reduce_abs_max(const float* x, int64_t n) { return kernels().reduce_abs_max(x, n); }
-inline void sgd_step(float* p, const float* grad, float* vel, float lr, float mu, float wd,
-                     bool nesterov, int64_t n) {
-  kernels().sgd_step(p, grad, vel, lr, mu, wd, nesterov, n);
-}
+void relu(float* x, int64_t n);                       // x = max(x, 0)
+void relu_grad(const float* x, float* d, int64_t n);  // d = x<=0 ? 0 : d
+void add(float* dst, const float* src, int64_t n);    // dst += src
+void mul(float* dst, const float* src, int64_t n);    // dst *= src
+void add_scalar(float* dst, float v, int64_t n);      // dst += v
+void scale(float* dst, float v, int64_t n);           // dst *= v
+void div_scalar(float* dst, float v, int64_t n);      // dst /= v
+void clamp(float* x, float lo, float hi, int64_t n);  // x = clamp(x, lo, hi)
+float reduce_max(const float* x, int64_t n);          // max(x); n >= 1
+float reduce_abs_max(const float* x, int64_t n);      // max(|x|); 0 for n == 0
+// Fused SGD+momentum step over one parameter block:
+//   g = grad + wd * p;  v = mu * v + g;  p -= lr * (nesterov ? g + mu*v : v)
+// every multiply-add single-rounded (std::fma).
+void sgd_step(float* p, const float* grad, float* vel, float lr, float mu, float wd,
+              bool nesterov, int64_t n);
 
 }  // namespace rp::simd

@@ -1,13 +1,12 @@
-// AVX2/FMA kernel table. This translation unit is the only one compiled with
-// -mavx2 -mfma (see src/tensor/CMakeLists.txt); everything here is guarded so
-// the file is an empty stub on toolchains without AVX2 support. Dispatch
+// AVX2/FMA conv kernel table. This translation unit carries -mavx2 -mfma of
+// its own (see src/tensor/CMakeLists.txt); everything here is guarded so the
+// file is an empty stub on toolchains without AVX2 support. Dispatch
 // guarantees these kernels only run on CPUs reporting avx2+fma.
 //
 // Bit-exactness (DESIGN.md §6): lanes run across the element index (output
-// positions, channels or pixels) only, every multiply-add is a fused vfmadd — the same
-// single-rounded op as the scalar kernels' std::fma — and NaN/-0 semantics of
-// max/min/compare formulations are chosen to match the scalar std::max /
-// std::clamp exactly. Outputs are therefore bit-identical to RP_SIMD=off.
+// positions, channels or pixels) only, and every multiply-add is a fused
+// vfmadd — the same single-rounded op as the scalar kernels' std::fma.
+// Outputs are therefore bit-identical to RP_SIMD=off.
 #include "tensor/simd.hpp"
 
 #if defined(RP_SIMD_AVX2)
@@ -15,7 +14,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
 #include <type_traits>
 #include <utility>
 
@@ -647,156 +645,7 @@ void a_conv_dx(const ConvDxArgs& a) {
   }
 }
 
-// -- elementwise / reduction kernels ----------------------------------------
-
-// max_ps(0, v) matches std::max(v, 0.0f) exactly: MAXPS returns the second
-// operand on equal (+0 vs -0 keeps v's -0) and on unordered (NaN passes
-// through), which is precisely the (a < b ? b : a) scalar behavior.
-void a_relu(float* x, int64_t n) {
-  const __m256 vz = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_max_ps(vz, _mm256_loadu_ps(x + i)));
-  }
-  for (; i < n; ++i) x[i] = std::max(x[i], 0.0f);
-}
-
-// Zero d where x <= 0 (ordered compare: NaN x leaves d untouched, like the
-// scalar `if (x <= 0)`).
-void a_relu_grad(const float* x, float* d, int64_t n) {
-  const __m256 vz = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 dead = _mm256_cmp_ps(_mm256_loadu_ps(x + i), vz, _CMP_LE_OQ);
-    _mm256_storeu_ps(d + i, _mm256_andnot_ps(dead, _mm256_loadu_ps(d + i)));
-  }
-  for (; i < n; ++i) {
-    if (x[i] <= 0.0f) d[i] = 0.0f;
-  }
-}
-
-void a_add(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] += src[i];
-}
-
-void a_mul(float* dst, const float* src, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] *= src[i];
-}
-
-void a_add_scalar(float* dst, float v, int64_t n) {
-  const __m256 vv = _mm256_set1_ps(v);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), vv));
-  }
-  for (; i < n; ++i) dst[i] += v;
-}
-
-void a_scale(float* dst, float v, int64_t n) {
-  const __m256 vv = _mm256_set1_ps(v);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(dst + i), vv));
-  }
-  for (; i < n; ++i) dst[i] *= v;
-}
-
-void a_div_scalar(float* dst, float v, int64_t n) {
-  const __m256 vv = _mm256_set1_ps(v);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_div_ps(_mm256_loadu_ps(dst + i), vv));
-  }
-  for (; i < n; ++i) dst[i] /= v;
-}
-
-// min_ps(hi, max_ps(lo, v)) matches std::clamp(v, lo, hi) exactly, including
-// NaN passthrough (both MAXPS and MINPS return the second operand when
-// unordered, and v sits in the second slot of both).
-void a_clamp(float* x, float lo, float hi, int64_t n) {
-  const __m256 vlo = _mm256_set1_ps(lo);
-  const __m256 vhi = _mm256_set1_ps(hi);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(x + i, _mm256_min_ps(vhi, _mm256_max_ps(vlo, _mm256_loadu_ps(x + i))));
-  }
-  for (; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
-}
-
-float hmax(__m256 v) {
-  __m128 m = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps(v, 1));
-  m = _mm_max_ps(m, _mm_movehl_ps(m, m));
-  m = _mm_max_ss(m, _mm_movehdup_ps(m));
-  return _mm_cvtss_f32(m);
-}
-
-// max over finite floats is order-independent, so the lane-parallel reduction
-// is bit-identical to the scalar sequential one for any non-NaN input.
-float a_reduce_max(const float* x, int64_t n) {
-  if (n < 8) {
-    float m = x[0];
-    for (int64_t i = 1; i < n; ++i) m = std::max(m, x[i]);
-    return m;
-  }
-  __m256 vm = _mm256_loadu_ps(x);
-  int64_t i = 8;
-  for (; i + 8 <= n; i += 8) vm = _mm256_max_ps(vm, _mm256_loadu_ps(x + i));
-  float m = hmax(vm);
-  for (; i < n; ++i) m = std::max(m, x[i]);
-  return m;
-}
-
-float a_reduce_abs_max(const float* x, int64_t n) {
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  __m256 vm = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vm = _mm256_max_ps(vm, _mm256_andnot_ps(sign, _mm256_loadu_ps(x + i)));
-  }
-  float m = hmax(vm);
-  for (; i < n; ++i) m = std::max(m, std::abs(x[i]));
-  return m;
-}
-
-// Same fused-op chain as the scalar s_sgd_step: vfnmadd computes p - lr*t
-// with a single rounding, bit-identical to std::fma(-lr, t, p).
-void a_sgd_step(float* p, const float* grad, float* vel, float lr, float mu, float wd,
-                bool nesterov, int64_t n) {
-  const __m256 vwd = _mm256_set1_ps(wd);
-  const __m256 vmu = _mm256_set1_ps(mu);
-  const __m256 vlr = _mm256_set1_ps(lr);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 pv = _mm256_loadu_ps(p + i);
-    const __m256 g = _mm256_fmadd_ps(vwd, pv, _mm256_loadu_ps(grad + i));
-    const __m256 v = _mm256_fmadd_ps(vmu, _mm256_loadu_ps(vel + i), g);
-    _mm256_storeu_ps(vel + i, v);
-    const __m256 t = nesterov ? _mm256_fmadd_ps(vmu, v, g) : v;
-    _mm256_storeu_ps(p + i, _mm256_fnmadd_ps(vlr, t, pv));
-  }
-  for (; i < n; ++i) {
-    const float g = std::fma(wd, p[i], grad[i]);
-    const float v = std::fma(mu, vel[i], g);
-    vel[i] = v;
-    const float t = nesterov ? std::fma(mu, v, g) : v;
-    p[i] = std::fma(-lr, t, p[i]);
-  }
-}
-
-constexpr Kernels kAvx2Kernels{
-    a_conv_dense, a_conv_csr, a_conv_dw, a_conv_dx,
-    a_relu,       a_relu_grad,  a_add,      a_mul,
-    a_add_scalar, a_scale, a_div_scalar, a_clamp,
-    a_reduce_max, a_reduce_abs_max,      a_sgd_step,
-};
+constexpr Kernels kAvx2Kernels{a_conv_dense, a_conv_csr, a_conv_dw, a_conv_dx};
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "tensor/parallel.hpp"
 #include "tensor/simd.hpp"
@@ -13,10 +14,10 @@ namespace {
 
 // Every RP_* knob follows parse-or-exit(2): unrecognized values are usage
 // errors, never silent fall-throughs to a default. The throwing parse
-// functions are tested directly here; the exit(2) wiring gets one death
-// test through the RP_THREADS resolution path (the other knobs cache their
-// resolution in function-local statics, so re-resolving them in-process
-// would race the rest of the suite).
+// functions are tested directly here; the exit(2) wiring gets a death test
+// through the RP_THREADS resolution path and one through RP_SIMD's (that
+// knob caches its resolution in a function-local static, so its test
+// re-executes the binary for a child that resolves it afresh).
 
 TEST(EnvSpec, ParseIntSpecAcceptsFullMatchInRange) {
   EXPECT_EQ(env::parse_int_spec("RP_X", "4", 1), 4);
@@ -42,10 +43,8 @@ TEST(EnvSpec, SimdSpecParsesAllIsasAndRejectsTypos) {
   EXPECT_EQ(isa, simd::Isa::kScalar);
   EXPECT_TRUE(simd::parse_isa_spec("avx2", &isa));
   EXPECT_EQ(isa, simd::Isa::kAvx2);
-  EXPECT_TRUE(simd::parse_isa_spec("neon", &isa));
-  EXPECT_EQ(isa, simd::Isa::kNeon);
   EXPECT_FALSE(simd::parse_isa_spec("auto", &isa));  // auto = resolver's pick
-  for (const char* bad : {"axv2", "AVX2", "on", "", "scalar "}) {
+  for (const char* bad : {"axv2", "AVX2", "on", "", "scalar ", "neon"}) {
     EXPECT_THROW(simd::parse_isa_spec(bad, &isa), std::invalid_argument) << bad;
   }
 }
@@ -78,6 +77,23 @@ TEST(EnvSpec, RpThreadsAcceptsAutoAndExplicitCounts) {
   EXPECT_GE(parallel::num_threads(), 1);
   ::unsetenv("RP_THREADS");
   parallel::set_num_threads(0);
+}
+
+// RP_SIMD is first read by the first conv kernel, usually on a pool worker
+// with another lane waiting on the same resolution: the bad value must
+// still end the process with exit code 2, not hang or abort in teardown.
+TEST(EnvSpecDeathTest, BadRpSimdExitsWithTwoFromInsideTheLanePool) {
+  const std::string style = ::testing::GTEST_FLAG(death_test_style);
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ::setenv("RP_SIMD", "neon", 1);
+  EXPECT_EXIT(
+      {
+        parallel::set_num_threads(2);
+        parallel::run_shards(2, 2, [](int, int64_t, int64_t) { simd::active(); });
+      },
+      ::testing::ExitedWithCode(2), "RP_SIMD");
+  ::unsetenv("RP_SIMD");
+  ::testing::GTEST_FLAG(death_test_style) = style;
 }
 
 }  // namespace

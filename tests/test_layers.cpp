@@ -124,6 +124,34 @@ TEST(Conv2d, ProfilingRecordsActivationStats) {
   for (float v : *specs[0].in_act_stat) EXPECT_EQ(v, 0.0f);
 }
 
+/// A NaN in the input must not make the profiling stat depend on RP_SIMD:
+/// channel 0's 16 pixels end in a NaN at (3, 3), the last lane of a second
+/// 8-wide block, and the stat must come out with the same bits either way.
+TEST(Conv2d, ProfilingStatOverNanInputIsTheSameUnderEverySimd) {
+  struct SimdGuard {
+    ~SimdGuard() { simd::reset(); }
+  } guard;
+  Rng rng(9);
+  Tensor x = Tensor::randn(Shape{1, 2, 4, 4}, rng);
+  x.at(0, 0, 3, 3) = std::numeric_limits<float>::quiet_NaN();
+  auto stat = [&] {
+    Rng wrng(10);
+    Conv2d conv("c", 2, 4, 3, 1, 1, 4, 4, false, wrng);
+    conv.set_profiling(true);
+    conv.forward(x, false);
+    std::vector<PrunableSpec> specs;
+    conv.collect_prunable(specs);
+    return *specs[0].in_act_stat;
+  };
+  simd::force(simd::Isa::kScalar);
+  const std::vector<float> off = stat();
+  simd::reset();
+  const std::vector<float> dispatched = stat();
+  ASSERT_EQ(off.size(), dispatched.size());
+  EXPECT_EQ(std::memcmp(off.data(), dispatched.data(), off.size() * sizeof(float)), 0)
+      << "channel 0: " << off[0] << " under RP_SIMD=off, " << dispatched[0] << " dispatched";
+}
+
 TEST(Conv2d, FlopsTrackMask) {
   Rng rng(10);
   Conv2d conv("c", 2, 4, 3, 1, 1, 4, 4, false, rng);

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+
+#include "tensor/simd.hpp"
 
 namespace rp {
 namespace {
@@ -44,6 +48,22 @@ TEST(Ops, Norms) {
   EXPECT_FLOAT_EQ(l1_norm(t), 7.0f);
   EXPECT_FLOAT_EQ(l2_norm(t), 5.0f);
   EXPECT_FLOAT_EQ(linf_norm(t), 4.0f);
+}
+
+/// linf_norm over a NaN in the last lane of an 8-wide block reads the same
+/// bits under RP_SIMD=off and dispatched.
+TEST(Ops, LinfNormOverNanIsTheSameUnderEverySimd) {
+  struct SimdGuard {
+    ~SimdGuard() { simd::reset(); }
+  } guard;
+  Tensor t = Tensor::arange(16);
+  t[15] = std::numeric_limits<float>::quiet_NaN();
+  simd::force(simd::Isa::kScalar);
+  const float off = linf_norm(t);
+  simd::reset();
+  const float dispatched = linf_norm(t);
+  EXPECT_EQ(std::memcmp(&off, &dispatched, sizeof(float)), 0)
+      << off << " under RP_SIMD=off, " << dispatched << " dispatched";
 }
 
 TEST(Ops, L2Distance) {

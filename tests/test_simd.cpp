@@ -1,16 +1,18 @@
 // SIMD dispatch + bit-exactness suite (DESIGN.md §6). The contract under
-// test: every kernel produces bit-identical output under RP_SIMD=off and the
-// dispatched ISA, for any thread count — including ragged shapes that miss
-// the vector width, pruned (zero) rows hitting the zero skips, and
+// test: every conv kernel produces bit-identical output under RP_SIMD=off and
+// the dispatched ISA, for any thread count — including ragged shapes that
+// miss the vector width, pruned (zero) rows hitting the zero skips, and
 // accumulating gradients. On a host without a vector ISA the forced comparisons
 // degenerate to scalar-vs-scalar and pass trivially; the dispatch tests
-// still verify the RP_SIMD resolution machinery.
+// still verify the RP_SIMD resolution machinery. The elementwise ops have
+// one implementation, so their tests pin values, not a scalar-vs-ISA match.
 
 #include "tensor/simd.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -58,29 +60,16 @@ TEST(SimdDispatch, ForceAndResetPinTheIsa) {
   // Whatever auto resolves to, the kernel table must be complete.
   const simd::Kernels& k = simd::kernels();
   EXPECT_NE(k.conv_dense, nullptr);
-  EXPECT_NE(k.relu, nullptr);
-  EXPECT_NE(k.sgd_step, nullptr);
+  EXPECT_NE(k.conv_dx, nullptr);
 }
 
 TEST(SimdDispatch, EveryCompiledTableIsComplete) {
-  for (const simd::Kernels* t : {simd::avx2_kernels(), simd::neon_kernels()}) {
-    if (t == nullptr) continue;
-    EXPECT_NE(t->conv_dense, nullptr);
-    EXPECT_NE(t->conv_csr, nullptr);
-    EXPECT_NE(t->conv_dw, nullptr);
-    EXPECT_NE(t->conv_dx, nullptr);
-    EXPECT_NE(t->relu, nullptr);
-    EXPECT_NE(t->relu_grad, nullptr);
-    EXPECT_NE(t->add, nullptr);
-    EXPECT_NE(t->mul, nullptr);
-    EXPECT_NE(t->add_scalar, nullptr);
-    EXPECT_NE(t->scale, nullptr);
-    EXPECT_NE(t->div_scalar, nullptr);
-    EXPECT_NE(t->clamp, nullptr);
-    EXPECT_NE(t->reduce_max, nullptr);
-    EXPECT_NE(t->reduce_abs_max, nullptr);
-    EXPECT_NE(t->sgd_step, nullptr);
-  }
+  const simd::Kernels* t = simd::avx2_kernels();
+  if (t == nullptr) GTEST_SKIP() << "AVX2 table not compiled in";
+  EXPECT_NE(t->conv_dense, nullptr);
+  EXPECT_NE(t->conv_csr, nullptr);
+  EXPECT_NE(t->conv_dw, nullptr);
+  EXPECT_NE(t->conv_dx, nullptr);
 }
 
 // ----- Linear products on the conv kernels ---------------------------------------
@@ -181,94 +170,42 @@ TEST(SimdGemm, SimdAndThreadCountCommute) {
 
 // ----- elementwise / reduction ops -----------------------------------------
 
-/// Sizes around and below the vector widths so heads, bodies, and tails are
-/// all covered; data includes -0.0f and NaN (relu/clamp must pass both
-/// through with identical bits).
-TEST(SimdVops, ScalarVsSimdBitExact) {
-  SimdGuard guard;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  for (const int64_t n : {int64_t{1}, int64_t{7}, int64_t{8}, int64_t{9}, int64_t{31},
-                          int64_t{64}, int64_t{100}, int64_t{1000}}) {
-    Rng rng(static_cast<uint64_t>(n) + 7);
-    Tensor base = Tensor::randn(Shape{n}, rng);
-    base[0] = -0.0f;
-    if (n > 3) base[3] = nan;
-    Tensor other = Tensor::randn(Shape{n}, rng);
-    Tensor grad = Tensor::randn(Shape{n}, rng);
-
-    auto run_pair = [&](auto&& fn) {
-      simd::force(simd::Isa::kScalar);
-      Tensor scalar_out = fn();
-      simd::reset();
-      Tensor simd_out = fn();
-      ASSERT_TRUE(bits_equal(scalar_out, simd_out)) << "n=" << n;
-    };
-
-    run_pair([&] {
-      Tensor t = base;
-      simd::relu(t.data().data(), n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = other;
-      simd::relu_grad(base.data().data(), t.data().data(), n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::add(t.data().data(), other.data().data(), n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::mul(t.data().data(), other.data().data(), n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::add_scalar(t.data().data(), 0.7f, n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::scale(t.data().data(), 1.3f, n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::div_scalar(t.data().data(), 0.9f, n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor t = base;
-      simd::clamp(t.data().data(), -0.5f, 0.5f, n);
-      return t;
-    });
-    run_pair([&] {
-      Tensor p = base, vel = other;
-      simd::sgd_step(p.data().data(), grad.data().data(), vel.data().data(), 0.1f, 0.9f, 5e-4f,
-                     /*nesterov=*/true, n);
-      Tensor both(Shape{2 * n});
-      std::memcpy(both.data().data(), p.data().data(), static_cast<size_t>(n) * sizeof(float));
-      std::memcpy(both.data().data() + n, vel.data().data(),
-                  static_cast<size_t>(n) * sizeof(float));
-      return both;
-    });
-  }
+uint32_t bits(float v) {
+  uint32_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
 }
 
-TEST(SimdVops, ReductionsMatchScalar) {
-  SimdGuard guard;
-  for (const int64_t n : {int64_t{1}, int64_t{5}, int64_t{8}, int64_t{13}, int64_t{200}}) {
-    Rng rng(static_cast<uint64_t>(n) * 31 + 1);
-    Tensor t = Tensor::randn(Shape{n}, rng);
-    simd::force(simd::Isa::kScalar);
-    const float smax = simd::reduce_max(t.data().data(), n);
-    const float samax = simd::reduce_abs_max(t.data().data(), n);
-    simd::reset();
-    EXPECT_EQ(smax, simd::reduce_max(t.data().data(), n)) << "n=" << n;
-    EXPECT_EQ(samax, simd::reduce_abs_max(t.data().data(), n)) << "n=" << n;
-  }
+/// The NaN and -0.0f cases of the one implementation: relu and clamp pass
+/// both through with their bits, relu_grad keeps d under a NaN x, and the
+/// reductions fold past a NaN.
+TEST(SimdOps, NanAndNegativeZeroSemantics) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  float x[4] = {-0.0f, nan, -2.0f, 3.0f};
+  simd::relu(x, 4);
+  EXPECT_EQ(bits(x[0]), bits(-0.0f));
+  EXPECT_TRUE(std::isnan(x[1]));
+  EXPECT_EQ(x[2], 0.0f);
+  EXPECT_EQ(x[3], 3.0f);
+
+  const float xs[4] = {-0.0f, nan, -2.0f, 3.0f};
+  float d[4] = {1.0f, 2.0f, 3.0f, 4.0f};
+  simd::relu_grad(xs, d, 4);
+  EXPECT_EQ(d[0], 0.0f);
+  EXPECT_EQ(d[1], 2.0f);
+  EXPECT_EQ(d[2], 0.0f);
+  EXPECT_EQ(d[3], 4.0f);
+
+  float c[4] = {-0.0f, nan, -2.0f, 3.0f};
+  simd::clamp(c, -0.5f, 0.5f, 4);
+  EXPECT_EQ(bits(c[0]), bits(-0.0f));
+  EXPECT_TRUE(std::isnan(c[1]));
+  EXPECT_EQ(c[2], -0.5f);
+  EXPECT_EQ(c[3], 0.5f);
+
+  EXPECT_EQ(simd::reduce_max(xs, 4), 3.0f);
+  EXPECT_EQ(simd::reduce_abs_max(xs, 4), 3.0f);
+  EXPECT_EQ(simd::reduce_abs_max(xs, 0), 0.0f);
 }
 
 // ----- conv forward/backward ------------------------------------------------
